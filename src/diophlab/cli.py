@@ -343,7 +343,7 @@ def _cmd_variance(cfg: CliConfig) -> int:
 # ---------------------------------------------------------------------------
 # self-test
 
-def _selftest_checks(fast: bool, zeta_fn) -> list:
+def _selftest_checks(fast: bool) -> list:
     """Run the exact suites; returns (name, passed, detail) triples."""
     from diophlab import cumulants, lattice, oracles
 
@@ -440,15 +440,8 @@ def _selftest_checks(fast: bool, zeta_fn) -> list:
         prob = validate(
             ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
         )
-        d = prob.dimension
-        prod = 1.0
-        for t in prob.thetas:
-            prod *= t
-        from diophlab.problem import omega_n
-
-        C = (2.0**prob.m) * prod * omega_n(prob.norm, prob.n)
-        sigma2 = 2.0 * C * (2.0 * zeta_fn(float(d - 1)) / zeta_fn(float(d)) - 1.0)
-        series = _sigma2_series_with_zeta(prob, S=9, Pmax=800, zeta_fn=zeta_fn)
+        sigma2 = theory.constants(prob).sigma2
+        series = theory.sigma2_series(prob, S=9, Pmax=800)
         ok = abs(series - sigma2) <= 5e-3 * sigma2
         checks.append(("sigma2-identity", ok, f"series={series:.6f} sigma2={sigma2:.6f}"))
     except Exception as exc:  # pragma: no cover
@@ -482,32 +475,18 @@ def _random_rational_distribution(rng, n_points: int, n_obs: int):
     return FiniteDistribution(tuple(probs), tuple(values))
 
 
-def _sigma2_series_with_zeta(problem, S, Pmax, zeta_fn) -> float:
-    """sigma2 partial series with an injectable zeta (fault-injection hook)."""
-    from diophlab.problem import omega_n
-
-    d = problem.m + problem.n
-    prod = 1.0
-    for t in problem.thetas:
-        prod *= t
-    pref = 2.0 / zeta_fn(float(d)) * (2.0**problem.m) * prod * omega_n(problem.norm, problem.n)
-    logs = np.log(np.arange(1, Pmax + 1, dtype=np.float64))
-    diff = logs[:, None] - logs[None, :]
-    cov = np.clip(np.minimum(1.0, S + 1 - diff) - np.maximum(0.0, -S - diff), 0.0, 1.0)
-    pq = np.arange(1, Pmax + 1, dtype=np.float64)
-    mx = np.maximum(pq[:, None], pq[None, :])
-    return pref * float(np.sum(mx ** (-float(d)) * cov))
-
-
 def selftest(fast: bool = False, inject_fault: str | None = None) -> tuple[int, list]:
     """Run the exact suites; returns (exit_code, checks)."""
-    zeta_fn = theory.zeta
+    zeta = theory.zeta
     if inject_fault == "zeta":
-        zeta_fn = lambda s: theory.zeta(s) * 1.05  # deliberately corrupted
+        theory.zeta = lambda s: zeta(s) * 1.05  # deliberately corrupted
     elif inject_fault:
         raise ValidationError(f"unknown fault {inject_fault!r}")
     t0 = time.time()
-    checks = _selftest_checks(fast, zeta_fn)
+    try:
+        checks = _selftest_checks(fast)
+    finally:
+        theory.zeta = zeta
     for name, ok, detail in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail and not ok else ""))
     print(f"selftest finished in {time.time() - t0:.1f}s")

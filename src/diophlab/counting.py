@@ -33,7 +33,15 @@ _BOUNDARY_MARGIN = 1e-9
 
 def enumeration_cap() -> int:
     cap = os.environ.get("DIOPH_CAP")
-    return int(cap) if cap else DEFAULT_CAP
+    if not cap:
+        return DEFAULT_CAP
+    try:
+        value = int(cap)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValidationError(f"DIOPH_CAP must be a positive integer, got {cap!r}")
+    return value
 
 
 class Convention(Enum):
@@ -105,6 +113,35 @@ def block_radius_range(s: int) -> tuple[int, int]:
 def block_sq_radius_range(s: int) -> tuple[int, int]:
     """Integer squared radii Q with e^{2s} <= Q < e^{2s+2}, inclusive bounds."""
     return _ceil_exp(2 * s), _ceil_exp(2 * s + 2) - 1
+
+
+def half_space_grid(n: int, lo: int, hi: int, squared: bool, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """One q from each {q, -q} pair with lo <= ||q||_sup <= hi, as (q, radii).
+
+    With ``squared`` (Euclidean norm, n >= 2) the window is lo <= ||q||_2^2
+    <= hi instead.  ``q`` is an (n, K) integer array whose first nonzero
+    coordinate is positive, in lexicographic order; ``radii`` holds the exact
+    integer ||q|| (or ||q||^2) of each column.
+    """
+    if n == 1:
+        lo = max(lo, 1)
+    if hi < lo:
+        return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    k_max = math.isqrt(hi) if squared else hi
+    points = hi - lo + 1 if n == 1 else (2 * k_max + 1) ** n
+    if points > cap:
+        raise CapExceededError(f"q-grid of {points} points > cap {cap} (set DIOPH_CAP to raise)")
+    if n == 1:
+        q = np.arange(lo, hi + 1, dtype=np.int64)
+        return q.reshape(1, -1), q
+    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * n
+    grids = np.meshgrid(*axes, indexing="ij")
+    # ravel order is lexicographic, so the points after the origin are
+    # exactly those whose first nonzero coordinate is positive
+    pts = np.stack([g.ravel() for g in grids])[:, points // 2 + 1 :]
+    radii = np.sum(pts * pts, axis=0) if squared else np.max(np.abs(pts), axis=0)
+    keep = (radii >= lo) & (radii <= hi)
+    return pts[:, keep], radii[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -224,61 +261,15 @@ class CountingKernel:
 
     def _build(self, cap: int) -> None:
         p = self.problem
-        if p.n == 1:
-            k_lo, k_hi = _ceil_exp(self.s_lo), _ceil_exp(self.s_hi) - 1
-            if k_hi - k_lo + 1 > cap:
-                raise CapExceededError(
-                    f"radial range needs {k_hi - k_lo + 1} points > cap {cap}"
-                    " (set DIOPH_CAP to raise)"
-                )
-            q = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-            self.q_int = q.reshape(1, -1)
-            self.norm_int = q  # ||q|| exactly, as integers
-            self.norm_sq = None
-            bounds = np.array([_ceil_exp(j) for j in range(self.s_lo + 1, self.s_hi)])
-            self.block_of = self.s_lo + np.searchsorted(bounds, q, side="right").astype(np.int64)
-            norm_f = q.astype(np.float64)
-        else:
-            if p.norm is Norm.SUP:
-                k_max = _ceil_exp(self.s_hi) - 1
-            else:
-                k_max = int(math.isqrt(_ceil_exp(2 * self.s_hi) - 1))
-            if (2 * k_max + 1) ** p.n > cap:
-                raise CapExceededError(
-                    f"q-box has {(2 * k_max + 1) ** p.n} points > cap {cap}"
-                    " (set DIOPH_CAP to raise)"
-                )
-            axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * p.n
-            grids = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.ravel() for g in grids])  # (n, K)
-            # lexicographically positive representative of each {q, -q} pair
-            lead = np.zeros(pts.shape[1], dtype=np.int64)
-            undecided = np.ones(pts.shape[1], dtype=bool)
-            for j in range(p.n):
-                sgn = np.sign(pts[j])
-                lead = np.where(undecided & (sgn != 0), sgn, lead)
-                undecided &= sgn == 0
-            pts = pts[:, lead > 0]
-            if p.norm is Norm.SUP:
-                nint = np.max(np.abs(pts), axis=0)
-                keep = (nint >= _ceil_exp(self.s_lo)) & (nint <= _ceil_exp(self.s_hi) - 1)
-                pts, nint = pts[:, keep], nint[keep]
-                self.norm_int = nint
-                self.norm_sq = None
-                bounds = np.array([_ceil_exp(j) for j in range(self.s_lo + 1, self.s_hi)])
-                self.block_of = self.s_lo + np.searchsorted(bounds, nint, side="right").astype(np.int64)
-                norm_f = nint.astype(np.float64)
-            else:
-                nsq = np.sum(pts * pts, axis=0)
-                keep = (nsq >= _ceil_exp(2 * self.s_lo)) & (nsq <= _ceil_exp(2 * self.s_hi) - 1)
-                pts, nsq = pts[:, keep], nsq[keep]
-                self.norm_int = None
-                self.norm_sq = nsq
-                bounds = np.array([_ceil_exp(2 * j) for j in range(self.s_lo + 1, self.s_hi)])
-                self.block_of = self.s_lo + np.searchsorted(bounds, nsq, side="right").astype(np.int64)
-                norm_f = np.sqrt(nsq.astype(np.float64))
-            self.q_int = pts
-        self.q_float = self.q_int.astype(np.float64)
+        squared = p.n >= 2 and p.norm is Norm.EUCLIDEAN
+        radius_range = block_sq_radius_range if squared else block_radius_range
+        lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
+        self.q_int, radii = half_space_grid(p.n, lo, hi, squared, cap)
+        # ||q|| (or ||q||_2^2) exactly, as integers
+        self.norm_int, self.norm_sq = (None, radii) if squared else (radii, None)
+        bounds = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)])
+        self.block_of = self.s_lo + np.searchsorted(bounds, radii, side="right").astype(np.int64)
+        norm_f = np.sqrt(radii.astype(np.float64)) if squared else radii.astype(np.float64)
         # per-form interval radii theta_i * ||q||^{-w_i}; sample independent
         w = p.weights_float()
         self.rho = np.stack([p.thetas[i] * norm_f ** (-w[i]) for i in range(p.m)])
@@ -306,22 +297,28 @@ class CountingKernel:
             raise ValidationError("PositiveQ convention requires n = 1")
         return value
 
-    def block_counts(self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS) -> np.ndarray:
-        """Counts for the shells s = s_lo .. s_hi-1, in that order."""
+    def _shell_counts(self, u: MatrixU, convention: Convention, mask) -> np.ndarray:
         per_q = self._counts_per_q(u)
         out = np.bincount(
-            self.block_of - self.s_lo, weights=per_q, minlength=self.n_shells
+            self.block_of[mask] - self.s_lo, weights=per_q[mask], minlength=self.n_shells
         ).astype(np.int64)
         return self._apply_convention(out, convention)
 
-    def count_up_to(self, u: MatrixU, T: float, convention: Convention = Convention.BOTH_SIGNS) -> int:
-        """Count with e^{s_lo} <= ||q|| < T, T within the kernel's range."""
-        per_q = self._counts_per_q(u)
+    def block_counts(self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS) -> np.ndarray:
+        """Counts for the shells s = s_lo .. s_hi-1, in that order."""
+        return self._shell_counts(u, convention, slice(None))
+
+    def _block_counts_below(self, u: MatrixU, T: float, convention: Convention) -> np.ndarray:
+        """``block_counts`` restricted to ||q|| < T."""
         if self.norm_int is not None:
             mask = self.norm_int <= _sup_radius_below(T)
         else:
             mask = self.norm_sq < Fraction(T) ** 2
-        return int(self._apply_convention(int(per_q[mask].sum()), convention))
+        return self._shell_counts(u, convention, mask)
+
+    def count_up_to(self, u: MatrixU, T: float, convention: Convention = Convention.BOTH_SIGNS) -> int:
+        """Count with e^{s_lo} <= ||q|| < T, T within the kernel's range."""
+        return int(self._block_counts_below(u, T, convention).sum())
 
 
 def _blocks_needed_for(T: float) -> int:
@@ -346,20 +343,8 @@ def count_direct(
     when T = e^N the blocks are exactly the shell counts for s = 0..N-1 and
     they sum to the total.
     """
-    if convention is Convention.POSITIVE_Q and problem.n != 1:
-        raise ValidationError("PositiveQ convention requires n = 1")
-    n_blocks = _blocks_needed_for(T)
-    kernel = CountingKernel(problem, 0, n_blocks, cap=cap)
-    per_q = kernel._counts_per_q(u)
-    if kernel.norm_int is not None:
-        mask = kernel.norm_int <= _sup_radius_below(T)
-    else:
-        mask = kernel.norm_sq < Fraction(T) ** 2
-    factor = 2 if convention is Convention.BOTH_SIGNS else 1
-    blocks = (
-        np.bincount(kernel.block_of[mask], weights=per_q[mask], minlength=n_blocks).astype(np.int64)
-        * factor
-    )
+    kernel = CountingKernel(problem, 0, _blocks_needed_for(T), cap=cap)
+    blocks = kernel._block_counts_below(u, T, convention)
     total = int(blocks.sum())
     return CountResult(
         total=total, per_block=tuple(int(b) for b in blocks), T=float(T), convention=convention

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
 
-from diophlab.counting import MatrixU, enumeration_cap, per_q_product_counts
+from diophlab.counting import MatrixU, enumeration_cap, half_space_grid, per_q_product_counts
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction
 
@@ -144,53 +143,13 @@ def siegel_transform_box(
     u, s0 = lat.provenance
     if s0 != 0:
         raise ValidationError("siegel_transform_box needs the unflowed lattice (s = 0)")
-    m, n = u.m, u.n
     cap = enumeration_cap() if cap is None else cap
-
-    if n == 1:
-        problem = ApproximationProblem(m=m, n=n, weights=f.weights, thetas=f.thetas)
-        lo, hi = _radial_int_window(
-            f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared=False
-        )
-        lo = max(lo, 1)
-        if hi < lo:
-            return 0
-        if hi - lo + 1 > cap:
-            raise CapExceededError(f"radial window of {hi - lo + 1} points > cap {cap}")
-        q = np.arange(lo, hi + 1, dtype=np.int64).reshape(1, -1)
-        counts = per_q_product_counts(problem, u, q, norm_int=q[0])
-        return 2 * int(counts.sum())
-
-    problem = ApproximationProblem(m=m, n=n, weights=f.weights, thetas=f.thetas, norm=norm)
-    if norm is Norm.SUP:
-        lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared=False)
-        k_box = hi
-    else:
-        lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared=True)
-        k_box = int(math.isqrt(max(hi, 0)))
-    if hi < lo:
-        return 0
-    if (2 * k_box + 1) ** n > cap:
-        raise CapExceededError(f"q-box of {(2 * k_box + 1) ** n} points > cap {cap}")
-    axes = [np.arange(-k_box, k_box + 1, dtype=np.int64)] * n
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids])
-    lead = np.zeros(pts.shape[1], dtype=np.int64)
-    undecided = np.ones(pts.shape[1], dtype=bool)
-    for j in range(n):
-        sgn = np.sign(pts[j])
-        lead = np.where(undecided & (sgn != 0), sgn, lead)
-        undecided &= sgn == 0
-    pts = pts[:, lead > 0]
-    if norm is Norm.SUP:
-        nint = np.max(np.abs(pts), axis=0)
-        keep = (nint >= lo) & (nint <= hi)
-        counts = per_q_product_counts(problem, u, pts[:, keep], norm_int=nint[keep])
-    else:
-        nsq = np.sum(pts * pts, axis=0)
-        keep = (nsq >= lo) & (nsq <= hi)
-        counts = per_q_product_counts(problem, u, pts[:, keep], norm_sq=nsq[keep])
-    return 2 * int(counts.sum())
+    squared = u.n >= 2 and norm is Norm.EUCLIDEAN
+    lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared)
+    q, radii = half_space_grid(u.n, lo, hi, squared, cap)
+    problem = ApproximationProblem(m=u.m, n=u.n, weights=f.weights, thetas=f.thetas, norm=norm)
+    norm_int, norm_sq = (None, radii) if squared else (radii, None)
+    return 2 * int(per_q_product_counts(problem, u, q, norm_int=norm_int, norm_sq=norm_sq).sum())
 
 
 def siegel_transform_points(box, lat: UnimodularLattice, cap: int | None = None) -> int:
@@ -520,25 +479,13 @@ def _min_covolume(basis: np.ndarray, j: int, minima: np.ndarray, cap: int) -> fl
 def alpha(lat: UnimodularLattice, cap: int | None = None) -> float:
     """sup over sublattice-spanned subspaces V of 1 / covol(V); always >= 1.
 
-    Certified for dimension <= 5.  Above that a greedy lower bound from the
-    reduced basis is returned with a warning.
+    Certified for dimension <= 5; larger dimensions raise ValidationError.
     """
-    cap = 2_000_000 if cap is None else cap
     d = lat.dimension
-    reduced = _lll_reduce(lat.basis)
-
     if d > 5:
-        warnings.warn("alpha is uncertified for dimension > 5: greedy lower bound", RuntimeWarning)
-        inv_best = 1.0
-        for j in range(1, d):
-            best = math.inf
-            for subset in itertools.combinations(range(d), j):
-                sub = reduced[:, subset]
-                det = float(np.linalg.det(sub.T @ sub))
-                best = min(best, math.sqrt(max(det, 0.0)))
-            inv_best = max(inv_best, 1.0 / best)
-        return inv_best
-
+        raise ValidationError(f"alpha is certified for dimension <= 5 only, got {d}")
+    cap = 2_000_000 if cap is None else cap
+    reduced = _lll_reduce(lat.basis)
     minima = _successive_minima(reduced, cap)
     out = max(1.0, 1.0 / float(minima[0]))
     for j in range(2, d):

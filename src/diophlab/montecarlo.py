@@ -183,9 +183,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 # ---------------------------------------------------------------------------
 # experiment cores
 
-def _block_matrix(config: ExperimentConfig, s_lo: int, s_hi: int) -> np.ndarray:
-    """(S, s_hi - s_lo) matrix of shell counts for the seeded sample set."""
-    kernel = CountingKernel(config.problem, s_lo, s_hi)
+def _block_matrix(config: ExperimentConfig, kernel: CountingKernel) -> np.ndarray:
+    """(S, kernel.n_shells) matrix of shell counts for the seeded sample set."""
     m, n = config.problem.m, config.problem.n
 
     def one(i: int):
@@ -224,14 +223,7 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     n_max = max(config.n_grid)
     consts = theory.constants(config.problem)
     kernel = CountingKernel(config.problem, 0, n_max)
-    m, n = config.problem.m, config.problem.n
-
-    def one(i: int):
-        u = sample_u_at(config.seed, i, m, n)
-        return kernel.block_counts(u, config.convention)
-
-    blocks = np.stack(_map_indexed(one, config.samples, config.workers)).astype(np.float64)
-    cum = np.cumsum(blocks, axis=1)  # Delta_{e^{s+1}} per sample
+    cum = np.cumsum(_block_matrix(config, kernel), axis=1)  # Delta_{e^{s+1}} per sample
     # finite-T theoretical mean from the torus identity, per block then summed
     per_q_mean = np.prod(2.0 * kernel.rho, axis=0)
     factor = 2.0 if config.convention is Convention.BOTH_SIGNS else 1.0
@@ -297,7 +289,7 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
     carries the factor-2 diagnostic comparing the variance of the positive-q
     normalization with both candidate constants.
     """
-    blocks = _block_matrix(config, 0, config.N)
+    blocks = _block_matrix(config, CountingKernel(config.problem, 0, config.N))
     totals = blocks.sum(axis=1)
     consts = None
     sigma2 = None
@@ -393,7 +385,7 @@ def run_covariance(config: ExperimentConfig, lags=None, t_base: int | None = Non
         raise ValidationError("covariance theory comparison needs m >= 2")
     max_lag = max(lags)
     N = max(config.N, t + max_lag + 1)
-    blocks = _block_matrix(config, 0, N)
+    blocks = _block_matrix(config, CountingKernel(config.problem, 0, N))
     consts = theory.constants(config.problem)
     nsig = config.thresholds["cov_nsigma"]
 
@@ -489,7 +481,7 @@ def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)):
     nsig = config.thresholds["mvt_nsigma"]
     rows = []
     for s in s_list:
-        blocks = _block_matrix(config, s, s + 1)
+        blocks = _block_matrix(config, CountingKernel(config.problem, s, s + 1))
         vals = blocks[:, 0]
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(config.samples))

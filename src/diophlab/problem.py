@@ -23,8 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from scipy.integrate import quad
-
 from diophlab.errors import ValidationError
 
 
@@ -215,6 +213,8 @@ def unit_ball_volume(norm: Norm, n: int) -> float:
 
     Used only as the independent cross-check path for ``omega_n``.
     """
+    from scipy.integrate import quad
+
     if n == 0:
         return 1.0
     if isinstance(norm, str):

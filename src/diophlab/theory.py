@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from diophlab.errors import ValidationError
-from diophlab.problem import ApproximationProblem, omega_n
+from diophlab.problem import ApproximationProblem, mean_constant, omega_n
 
 _BERNOULLI = (
     Fraction(1, 6),
@@ -95,10 +95,7 @@ def constants(problem: ApproximationProblem) -> TheoryConstants:
     d = problem.m + problem.n
     if d < 3:
         raise ValidationError("sigma2 needs m + n >= 3 (zeta(m+n-1) must be finite)")
-    prod = 1.0
-    for t in problem.thetas:
-        prod *= t
-    C = (2.0**problem.m) * prod * omega_n(problem.norm, problem.n)
+    C = mean_constant(problem)
     ratio = 2.0 * zeta(float(d - 1)) / zeta(float(d)) - 1.0
     return TheoryConstants(
         C=C, sigma2=2.0 * C * ratio, zeta_ratio=ratio, m_warning=problem.m < 2
@@ -131,18 +128,27 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
         raise ValidationError("theta_infinity needs m + n >= 3")
     if Pmax < 1:
         raise ValidationError("Pmax must be >= 1")
-    prod = 1.0
-    for t in problem.thetas:
-        prod *= t
-    pref = 2.0 / zeta(float(d)) * (2.0**problem.m) * prod * omega_n(problem.norm, problem.n)
+
+    def overlap(log_p, log_q):
+        lo = np.maximum(s - log_p, -log_q)
+        hi = np.minimum(s + 1 - log_p, 1 - log_q)
+        return np.clip(hi - lo, 0.0, None)
+
+    return _pq_grid_sum(problem, Pmax, overlap)
+
+
+def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window) -> float:
+    """2 zeta(d)^{-1} C sum_{p,q <= Pmax} max(p,q)^{-d} window(log p, log q).
+
+    ``window`` maps the (Pmax, 1) column of log p and the (1, Pmax) row of
+    log q to the log-radial weight of each (p, q) pair.
+    """
+    d = problem.m + problem.n
+    pref = 2.0 / zeta(float(d)) * mean_constant(problem)
     logs = np.log(np.arange(1, Pmax + 1, dtype=np.float64))
-    # overlap(s, p, q) on the grid
-    lo = np.maximum(s - logs[:, None], -logs[None, :])
-    hi = np.minimum(s + 1 - logs[:, None], 1 - logs[None, :])
-    ov = np.clip(hi - lo, 0.0, None)
     pq = np.arange(1, Pmax + 1, dtype=np.float64)
-    mx = np.maximum(pq[:, None], pq[None, :])
-    return pref * float(np.sum(mx ** (-float(d)) * ov))
+    weight = np.maximum(pq[:, None], pq[None, :]) ** (-float(d))
+    return pref * float(np.sum(weight * window(logs[:, None], logs[None, :])))
 
 
 def theta_infinity_numeric(
@@ -221,17 +227,13 @@ def sigma2_series(problem: ApproximationProblem, S: int, Pmax: int) -> float:
     d = problem.m + problem.n
     if d < 3:
         raise ValidationError("sigma2_series needs m + n >= 3")
-    prod = 1.0
-    for t in problem.thetas:
-        prod *= t
-    pref = 2.0 / zeta(float(d)) * (2.0**problem.m) * prod * omega_n(problem.norm, problem.n)
-    logs = np.log(np.arange(1, Pmax + 1, dtype=np.float64))
-    diff = logs[:, None] - logs[None, :]  # log p - log q
-    # coverage of [0,1] by the union of windows [s - x, s + 1 - x], |s| <= S
-    cov = np.clip(np.minimum(1.0, S + 1 - diff) - np.maximum(0.0, -S - diff), 0.0, 1.0)
-    pq = np.arange(1, Pmax + 1, dtype=np.float64)
-    mx = np.maximum(pq[:, None], pq[None, :])
-    return pref * float(np.sum(mx ** (-float(d)) * cov))
+
+    def coverage(log_p, log_q):
+        # coverage of [0,1] by the union of windows [s - x, s + 1 - x], |s| <= S
+        diff = log_p - log_q
+        return np.clip(np.minimum(1.0, S + 1 - diff) - np.maximum(0.0, -S - diff), 0.0, 1.0)
+
+    return _pq_grid_sum(problem, Pmax, coverage)
 
 
 def max_pq_partial_sum(d: int, P: int) -> float:

@@ -142,6 +142,31 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])
+def test_bad_cap_is_usage_error(tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("DIOPH_CAP", cap)
+    code = main(
+        [
+            "count",
+            "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1",
+            "--logT", "3", "--u", "0.5,0.25",
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diophlab.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_lln_statistical_verdict_exit_code(tmp_path):
     # at S = 60 the gaps are not flat across N (band 3.13) and the means sit
     # 2.4 to 5.6 from the exact finite-T mean; both exceed 1.0, so exit 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from diophlab.counting import (
     MatrixU,
     count_block,
     count_direct,
+    half_space_grid,
     normalize_clt,
 )
 from diophlab.errors import CapExceededError, ValidationError
@@ -147,6 +149,36 @@ def test_positive_q_requires_n1():
     p = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.6,)))
     with pytest.raises(ValidationError, match="n = 1"):
         count_direct(p, MatrixU(np.zeros((1, 2))), 10.0, Convention.POSITIVE_Q)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 4), (2, 5), (3, 9), (5, 4)])
+def test_half_space_grid_matches_brute_force(n, squared, lo, hi):
+    k = math.isqrt(hi) if squared else hi
+    expected = []
+    for q in itertools.product(range(-k, k + 1), repeat=n):
+        radius = sum(x * x for x in q) if squared else max(abs(x) for x in q)
+        lead = next((x for x in q if x != 0), 0)
+        if lead > 0 and lo <= radius <= hi:
+            expected.append(q)
+    q, radii = half_space_grid(n, lo, hi, squared, cap=10**6)
+    got = [tuple(int(x) for x in col) for col in q.T]
+    assert got == sorted(expected)  # lexicographic order, one of each +/- pair
+    assert not set(got) & {tuple(-x for x in g) for g in got}
+    assert radii.dtype == q.dtype == np.int64
+    for col, r in zip(got, radii):
+        assert r == (sum(x * x for x in col) if squared else max(abs(x) for x in col))
+
+
+def test_half_space_grid_n1_and_cap():
+    q, radii = half_space_grid(1, 0, 5, False, cap=10)
+    assert q.tolist() == [[1, 2, 3, 4, 5]] and radii.tolist() == [1, 2, 3, 4, 5]
+    with pytest.raises(CapExceededError):
+        half_space_grid(1, 1, 11, False, cap=10)
+    with pytest.raises(CapExceededError):
+        half_space_grid(2, 1, 2, False, cap=24)  # the 5 x 5 box
+    assert half_space_grid(2, 1, 2, False, cap=25)[0].shape == (2, 12)
 
 
 def test_enumeration_cap():

@@ -212,8 +212,8 @@ def test_alpha_at_least_one_and_matches_exhaustive():
 
 
 def test_alpha_uncertified_above_five():
-    with pytest.warns(RuntimeWarning, match="uncertified"):
-        assert alpha(UnimodularLattice(np.eye(6))) == pytest.approx(1.0)
+    with pytest.raises(ValidationError, match="dimension <= 5"):
+        alpha(UnimodularLattice(np.eye(6)))
 
 
 def test_truncated_siegel():
