@@ -53,19 +53,6 @@ class CliConfig:
     fast: bool = False
     inject_fault: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
-
-    @staticmethod
-    def from_json(text: str) -> "CliConfig":
-        obj = json.loads(text)
-        for key in ("weights", "thetas", "lags", "L_grid", "n_grid"):
-            if key in obj and obj[key] is not None:
-                obj[key] = tuple(obj[key])
-        if obj.get("u") is not None:
-            obj["u"] = tuple(obj["u"])
-        return CliConfig(**obj)
-
     def problem(self) -> ApproximationProblem:
         return validate(
             ApproximationProblem(
@@ -84,7 +71,7 @@ class CliConfig:
             samples=self.samples,
             seed=self.seed,
             workers=self.workers,
-            convention=Convention.BOTH_SIGNS if self.convention == "both" else Convention.POSITIVE_Q,
+            convention=Convention(self.convention),
             n_grid=tuple(self.n_grid),
             t_base=self.t_base,
             lags=tuple(self.lags),
@@ -100,7 +87,6 @@ def _comma_list(text: str, conv):
 def parse_args(argv) -> CliConfig:
     parser = argparse.ArgumentParser(prog="diophlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common = {}
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
@@ -131,7 +117,6 @@ def parse_args(argv) -> CliConfig:
         if name == "selftest":
             p.add_argument("--fast", action="store_true", default=None)
             p.add_argument("--inject-fault", dest="inject_fault", type=str, default=None)
-        common[name] = p
 
     ns = parser.parse_args(argv)
     base = {}
@@ -162,6 +147,7 @@ def parse_args(argv) -> CliConfig:
     cfg = CliConfig(**merged)
     if ns.subcommand != "selftest":
         cfg.problem()  # surface validation errors now
+        Convention(cfg.convention)
     return cfg
 
 
@@ -229,9 +215,8 @@ def _cmd_count(cfg: CliConfig) -> int:
         u = MatrixU(np.array(cfg.u, dtype=float).reshape(problem.m, problem.n))
     else:
         u = montecarlo.sample_u_at(cfg.seed, 0, problem.m, problem.n)
-    conv = Convention.BOTH_SIGNS if cfg.convention == "both" else Convention.POSITIVE_Q
     T = float(cfg.T) if cfg.T is not None else math.e**cfg.logT
-    res = count_direct(problem, u, T, conv)
+    res = count_direct(problem, u, T, Convention(cfg.convention))
     record = {
         "T": res.T,
         "total": res.total,
@@ -251,7 +236,7 @@ def _cmd_count(cfg: CliConfig) -> int:
 
 def _cmd_lln(cfg: CliConfig) -> int:
     res = montecarlo.run_lln(cfg.experiment())
-    gap_max = cfg.experiment().thresholds["lln_gap"]
+    gap_max = montecarlo.THRESHOLDS["lln_gap"]
     rows = [
         (r.N, r.mean, r.theory, r.gap, r.stderr, r.mean_finite_theory) for r in res.rows
     ]
@@ -290,7 +275,7 @@ def _cmd_clt(cfg: CliConfig) -> int:
     print(json.dumps(summary, default=str))
     if res.sigma2_theory is None:
         return 0
-    th = exp.thresholds
+    th = montecarlo.THRESHOLDS
     ok = (
         res.ks_distance <= th["clt_ks"]
         and abs(res.stats.variance - res.sigma2_theory) <= th["clt_var_rel"] * res.sigma2_theory
@@ -515,7 +500,7 @@ def main(argv=None) -> int:
         cfg = parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code) if exc.code else 0
-    except ValidationError as exc:
+    except ValueError as exc:  # ValidationError, or a malformed --config value
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:

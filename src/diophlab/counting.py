@@ -7,6 +7,11 @@ within relative margin 1e-9 of an integer the decision is escalated to exact
 rational arithmetic (entries of u are dyadic, q is integral, weights are
 rational, so the strict inequality can be settled by cross-powering).
 
+Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
+``squared_radii(problem)`` holds (Euclidean norm, n >= 2), so the square
+root is never taken on the exact path.  Grids, shell bounds, the "below T"
+cut and the escalation all work on that key.
+
 Radial shells use integer thresholds ceil(e^s) computed in high precision
 once and cached, which makes the tessellation identity against the lattice
 module exact rather than approximate.
@@ -96,13 +101,14 @@ def _ceil_exp(x: int) -> int:
         return int(mp.ceil(mp.e**x))
 
 
-def _sup_radius_below(T: float) -> int:
-    """Largest integer k with k < T (T a dyadic real)."""
-    frac = Fraction(T)
-    k = math.floor(frac)
-    if frac == k:
-        k -= 1
-    return k
+def squared_radii(problem: ApproximationProblem) -> bool:
+    """Whether the radius key of q is ||q||_2^2 rather than ||q||."""
+    return problem.n >= 2 and problem.norm is Norm.EUCLIDEAN
+
+
+def _sup_radius_below(T: float, squared: bool = False) -> int:
+    """Largest integer key k with k < T, or k < T^2 when ``squared`` (T a dyadic real)."""
+    return math.ceil(Fraction(T) ** (2 if squared else 1)) - 1
 
 
 def block_radius_range(s: int) -> tuple[int, int]:
@@ -147,72 +153,54 @@ def half_space_grid(n: int, lo: int, hi: int, squared: bool, cap: int) -> tuple[
 # ---------------------------------------------------------------------------
 # exact open-interval count (escalation path)
 
-def _exact_open_count(c: Fraction, theta: Fraction, w: Fraction, norm_pow) -> int:
+def _exact_open_count(c: Fraction, theta: Fraction, w: Fraction, radius_key: int, squared: bool) -> int:
     """#{p in Z : |p + c| < theta * ||q||^{-w}} by exact comparison.
 
-    ``norm_pow`` is ("int", k) for integer radius k = ||q|| or ("sq", Q) for
-    Q = ||q||_2^2.  The strict inequality is cross-powered to integer
-    exponents so every comparison is exact.
+    ``radius_key`` is k = ||q|| or, with ``squared``, k = ||q||_2^2.  With
+    w = a/b and e = 2 if squared else 1, the strict inequality is cross-powered
+    to |p + c|^{eb} k^a < theta^{eb}, so every comparison is exact.
     """
+    e = 2 if squared else 1
     a, b = w.numerator, w.denominator
-    kind, val = norm_pow
-    if kind == "int":
-        radius = float(theta) * float(val) ** (-float(w))
-        rhs = theta**b
-
-        def admits(p: int) -> bool:
-            return abs(p + c) ** b * val**a < rhs
-
-    elif kind == "sq":
-        radius = float(theta) * float(val) ** (-float(w) / 2.0)
-        rhs = theta ** (2 * b)
-
-        def admits(p: int) -> bool:
-            return abs(p + c) ** (2 * b) * val**a < rhs
-
-    else:  # pragma: no cover - internal misuse
-        raise ValidationError(f"bad norm_pow {norm_pow!r}")
-
+    radius = float(theta) * float(radius_key) ** (-float(w) / e)
+    rhs = theta ** (e * b)
     center = -float(c)
     lo = math.floor(center - radius) - 2
     hi = math.ceil(center + radius) + 2
-    return sum(1 for p in range(lo, hi + 1) if admits(p))
+    return sum(1 for p in range(lo, hi + 1) if abs(p + c) ** (e * b) * radius_key**a < rhs)
 
 
 # ---------------------------------------------------------------------------
 # per-q interval counts
 
+def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarray:
+    """(m, K) interval radii theta_i * ||q||^{-w_i} from the radius keys of K q."""
+    norm_f = radii.astype(np.float64)
+    if squared_radii(problem):
+        norm_f = np.sqrt(norm_f)
+    w = problem.weights_float()
+    return np.stack([problem.thetas[i] * norm_f ** (-w[i]) for i in range(problem.m)])
+
+
 def per_q_product_counts(
     problem: ApproximationProblem,
     u: MatrixU,
     q_int: np.ndarray,
-    *,
-    norm_int: np.ndarray | None = None,
-    norm_sq: np.ndarray | None = None,
+    radii: np.ndarray,
     rho: np.ndarray | None = None,
 ) -> np.ndarray:
     """prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}} for each column q.
 
-    ``q_int`` is an (n, K) integer array; exactly one of ``norm_int`` (integer
-    radii) / ``norm_sq`` (integer squared Euclidean radii) must be given.
-    ``rho`` may carry precomputed interval radii theta_i * ||q||^{-w_i}.
+    ``q_int`` is an (n, K) integer array and ``radii`` its integer radius keys
+    (see ``squared_radii``).  ``rho`` may carry the precomputed
+    ``interval_radii``.
     """
     if u.m != problem.m or u.n != problem.n:
         raise ValidationError("u has wrong shape for the problem")
-    if (norm_int is None) == (norm_sq is None):
-        raise ValidationError("need exactly one of norm_int / norm_sq")
     q_float = q_int.astype(np.float64)
     if rho is None:
-        norm_f = norm_int.astype(np.float64) if norm_int is not None else np.sqrt(
-            norm_sq.astype(np.float64)
-        )
-        w = problem.weights_float()
-        rho = np.stack([problem.thetas[i] * norm_f ** (-w[i]) for i in range(problem.m)])
-
-    def norm_pow_at(j: int):
-        if norm_int is not None:
-            return ("int", int(norm_int[j]))
-        return ("sq", int(norm_sq[j]))
+        rho = interval_radii(problem, radii)
+    squared = squared_radii(problem)
 
     prod = np.ones(q_float.shape[1], dtype=np.int64)
     for i in range(problem.m):
@@ -232,7 +220,7 @@ def per_q_product_counts(
             w_i = problem.weights[i]
             for j in np.nonzero(sus)[0]:
                 c = sum(u_row[k] * int(q_int[k, j]) for k in range(problem.n))
-                cnt_i[j] = _exact_open_count(c, theta, w_i, norm_pow_at(j))
+                cnt_i[j] = _exact_open_count(c, theta, w_i, int(radii[j]), squared)
         prod *= cnt_i
     return prod
 
@@ -246,8 +234,9 @@ class CountingKernel:
     Denominators are enumerated from the positive half-space only (first
     nonzero coordinate of q positive); the both-signs count is exactly twice
     that by the symmetry (p, q) <-> (-p, -q).  Build once, then map
-    ``block_counts``/``count_up_to`` over many samples: the q-grid and the
-    radii theta_i * ||q||^{-w_i} do not depend on u.
+    ``block_counts``/``count_up_to`` over many samples: the q-grid
+    ``q_int``, its radius keys ``radii`` and the interval radii
+    ``rho`` = theta_i * ||q||^{-w_i} do not depend on u.
     """
 
     def __init__(self, problem: ApproximationProblem, s_lo: int, s_hi: int, cap: int | None = None):
@@ -261,18 +250,13 @@ class CountingKernel:
 
     def _build(self, cap: int) -> None:
         p = self.problem
-        squared = p.n >= 2 and p.norm is Norm.EUCLIDEAN
+        squared = squared_radii(p)
         radius_range = block_sq_radius_range if squared else block_radius_range
         lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
-        self.q_int, radii = half_space_grid(p.n, lo, hi, squared, cap)
-        # ||q|| (or ||q||_2^2) exactly, as integers
-        self.norm_int, self.norm_sq = (None, radii) if squared else (radii, None)
+        self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared, cap)
         bounds = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)])
-        self.block_of = self.s_lo + np.searchsorted(bounds, radii, side="right").astype(np.int64)
-        norm_f = np.sqrt(radii.astype(np.float64)) if squared else radii.astype(np.float64)
-        # per-form interval radii theta_i * ||q||^{-w_i}; sample independent
-        w = p.weights_float()
-        self.rho = np.stack([p.thetas[i] * norm_f ** (-w[i]) for i in range(p.m)])
+        self.block_of = self.s_lo + np.searchsorted(bounds, self.radii, side="right").astype(np.int64)
+        self.rho = interval_radii(p, self.radii)
 
     @property
     def n_shells(self) -> int:
@@ -281,14 +265,7 @@ class CountingKernel:
     # -- per-sample work ---------------------------------------------------
 
     def _counts_per_q(self, u: MatrixU) -> np.ndarray:
-        return per_q_product_counts(
-            self.problem,
-            u,
-            self.q_int,
-            norm_int=self.norm_int,
-            norm_sq=self.norm_sq,
-            rho=self.rho,
-        )
+        return per_q_product_counts(self.problem, u, self.q_int, self.radii, self.rho)
 
     def _apply_convention(self, value, convention: Convention):
         if convention is Convention.BOTH_SIGNS:
@@ -310,10 +287,7 @@ class CountingKernel:
 
     def _block_counts_below(self, u: MatrixU, T: float, convention: Convention) -> np.ndarray:
         """``block_counts`` restricted to ||q|| < T."""
-        if self.norm_int is not None:
-            mask = self.norm_int <= _sup_radius_below(T)
-        else:
-            mask = self.norm_sq < Fraction(T) ** 2
+        mask = self.radii <= _sup_radius_below(T, squared_radii(self.problem))
         return self._shell_counts(u, convention, mask)
 
     def count_up_to(self, u: MatrixU, T: float, convention: Convention = Convention.BOTH_SIGNS) -> int:
@@ -365,8 +339,8 @@ def count_block(
     return int(kernel.block_counts(u, convention)[0])
 
 
-def normalize_clt(count: int, T: float, C: float, variance: float) -> float:
-    """(count - C log T) / sqrt(log T); ``variance`` rides along for reports."""
+def normalize_clt(count: int, T: float, C: float) -> float:
+    """(count - C log T) / sqrt(log T)."""
     if not T > 1:
         raise ValidationError("normalize_clt needs T > 1")
     logT = math.log(T)

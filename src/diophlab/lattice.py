@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from diophlab.counting import MatrixU, enumeration_cap, half_space_grid, per_q_product_counts
+from diophlab.counting import MatrixU, enumeration_cap, half_space_grid, per_q_product_counts, squared_radii
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction
 
@@ -144,12 +144,11 @@ def siegel_transform_box(
     if s0 != 0:
         raise ValidationError("siegel_transform_box needs the unflowed lattice (s = 0)")
     cap = enumeration_cap() if cap is None else cap
-    squared = u.n >= 2 and norm is Norm.EUCLIDEAN
+    problem = ApproximationProblem(m=u.m, n=u.n, weights=f.weights, thetas=f.thetas, norm=norm)
+    squared = squared_radii(problem)
     lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared)
     q, radii = half_space_grid(u.n, lo, hi, squared, cap)
-    problem = ApproximationProblem(m=u.m, n=u.n, weights=f.weights, thetas=f.thetas, norm=norm)
-    norm_int, norm_sq = (None, radii) if squared else (radii, None)
-    return 2 * int(per_q_product_counts(problem, u, q, norm_int=norm_int, norm_sq=norm_sq).sum())
+    return 2 * int(per_q_product_counts(problem, u, q, radii).sum())
 
 
 def siegel_transform_points(box, lat: UnimodularLattice, cap: int | None = None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from diophlab.lattice import alpha, apply_flow, lattice_from_u
 from diophlab.problem import ApproximationProblem
 from diophlab import theory
 
-DEFAULT_THRESHOLDS = {
+# verdict thresholds shared by every experiment
+THRESHOLDS = {
     "lln_gap": 1.0,
     "lln_band": 1.0,
     "clt_var_rel": 0.25,
@@ -47,7 +48,6 @@ class ExperimentConfig:
     lags: tuple = (0, 1, 2, 3)
     L_grid: tuple = (2.0, 4.0, 8.0)
     kappa: float = 4.0
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_THRESHOLDS))
 
     def __post_init__(self):
         if self.samples < 1:
@@ -56,9 +56,6 @@ class ExperimentConfig:
             raise ValidationError("need N >= 1")
         if self.workers < 1:
             raise ValidationError("need workers >= 1")
-        merged = dict(DEFAULT_THRESHOLDS)
-        merged.update(self.thresholds)
-        object.__setattr__(self, "thresholds", merged)
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
         verdict = "inconclusive (stderr dominates at S = 1)"
         flat = False
     else:
-        flat = band <= config.thresholds["lln_band"]
+        flat = band <= THRESHOLDS["lln_band"]
         verdict = "flat" if flat else "gaps not flat across N"
     return LlnResult(rows=tuple(rows), flat=flat, band=band, verdict=verdict)
 
@@ -373,21 +370,20 @@ def _theta_for_lag(problem: ApproximationProblem, s: int) -> float:
     return theory.theta_infinity(problem, abs(s), Pmax)
 
 
-def run_covariance(config: ExperimentConfig, lags=None, t_base: int | None = None) -> CovarianceResult:
+def run_covariance(config: ExperimentConfig) -> CovarianceResult:
     """Empirical lag covariances of the shell counts against Theta_inf(s).
 
     Also checks the variance chain: Var(D_{e^N}) against the stationary
     finite-N prediction (1/N) sum_{|s|<N} (N - |s|) Theta_inf(s).
     """
-    lags = tuple(config.lags if lags is None else lags)
-    t = config.t_base if t_base is None else int(t_base)
+    lags, t = config.lags, config.t_base
     if config.problem.m < 2:
         raise ValidationError("covariance theory comparison needs m >= 2")
-    max_lag = max(lags)
-    N = max(config.N, t + max_lag + 1)
+    N = max(config.N, t + max(lags) + 1)
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, N))
     consts = theory.constants(config.problem)
-    nsig = config.thresholds["cov_nsigma"]
+    nsig = THRESHOLDS["cov_nsigma"]
+    theta = {s: _theta_for_lag(config.problem, s) for s in set(lags) | set(range(config.N))}
 
     rows = []
     base = blocks[:, t] - blocks[:, t].mean()
@@ -396,7 +392,7 @@ def run_covariance(config: ExperimentConfig, lags=None, t_base: int | None = Non
         prods = base * other
         emp = float(prods.mean())
         stderr = float(math.sqrt(max(np.mean((prods - emp) ** 2), 0.0) / config.samples))
-        th = _theta_for_lag(config.problem, s)
+        th = theta[s]
         rows.append(
             CovarianceRow(
                 s=s, empirical=emp, stderr=stderr, theory=th, within=abs(emp - th) <= nsig * stderr
@@ -408,9 +404,9 @@ def run_covariance(config: ExperimentConfig, lags=None, t_base: int | None = Non
     Dc = D - D.mean()
     var_D = float(np.mean(Dc**2))
     var_stderr = float(math.sqrt(max(np.mean((Dc**2 - var_D) ** 2), 0.0) / config.samples))
-    pred = _theta_for_lag(config.problem, 0)
+    pred = theta[0]
     for s in range(1, config.N):
-        pred += 2.0 * (config.N - s) / config.N * _theta_for_lag(config.problem, s)
+        pred += 2.0 * (config.N - s) / config.N * theta[s]
     return CovarianceResult(
         rows=tuple(rows),
         var_D=var_D,
@@ -431,21 +427,19 @@ class TailRow:
     within: bool
 
 
-def run_alpha_tail(config: ExperimentConfig, L_grid=None, kappa: float | None = None):
+def run_alpha_tail(config: ExperimentConfig):
     """Empirical P(alpha(a^s Lambda_u) >= L) at s = ceil(kappa log L)."""
     if config.problem.dimension > 5:
         raise ValidationError("alpha tails need dimension <= 5 (certified alpha)")
-    L_grid = tuple(config.L_grid if L_grid is None else L_grid)
-    kappa = config.kappa if kappa is None else float(kappa)
     m, n = config.problem.m, config.problem.n
-    factor = config.thresholds["tail_factor"]
-    exponent = config.thresholds["tail_exponent"]
+    factor = THRESHOLDS["tail_factor"]
+    exponent = THRESHOLDS["tail_exponent"]
 
     rows = []
-    for L in L_grid:
+    for L in config.L_grid:
         if L < 1:
             raise ValidationError("L must be >= 1")
-        s = int(math.ceil(kappa * math.log(L))) if L > 1 else 0
+        s = int(math.ceil(config.kappa * math.log(L))) if L > 1 else 0
 
         def one(i: int) -> bool:
             u = sample_u_at(config.seed, i, m, n)
@@ -478,7 +472,7 @@ class SiegelMeanRow:
 def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)):
     """Mean of the shell count at flow time s against the volume C."""
     consts = theory.constants(config.problem)
-    nsig = config.thresholds["mvt_nsigma"]
+    nsig = THRESHOLDS["mvt_nsigma"]
     rows = []
     for s in s_list:
         blocks = _block_matrix(config, CountingKernel(config.problem, s, s + 1))

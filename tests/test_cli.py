@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diophlab.cli import CliConfig, emit_results, main, parse_args, selftest
+from diophlab.cli import emit_results, main, parse_args, selftest
 
 CLT_FLAGS = [
     "clt",
@@ -59,12 +59,6 @@ def test_config_file_merge_and_flag_override(tmp_path):
     cfg = parse_args(["clt", "--config", str(cfg_file), "--samples", "9"])
     assert cfg.samples == 9  # flag overrides config
     assert cfg.seed == 5  # config supplies the rest
-
-
-def test_cli_config_round_trip():
-    cfg = parse_args(CLT_FLAGS)
-    again = CliConfig.from_json(cfg.to_json())
-    assert again == cfg
 
 
 def test_emit_results(tmp_path):
@@ -153,6 +147,14 @@ def test_bad_cap_is_usage_error(tmp_path, monkeypatch, cap):
             "--out-dir", str(tmp_path),
         ]
     )
+    assert code == 2
+
+
+@pytest.mark.parametrize("bad", [{"convention": "posit"}, {"norm": "l2"}, {"thetas": ["one", 1]}])
+def test_bad_config_value_is_usage_error(tmp_path, bad):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"m": 2, "n": 1, "weights": ["1/2", "1/2"], "thetas": [1, 1], **bad}))
+    code = main(["count", "--config", str(cfg_file), "--logT", "3", "--out-dir", str(tmp_path)])
     assert code == 2
 
 

@@ -9,6 +9,7 @@ from diophlab.counting import (
     Convention,
     CountingKernel,
     MatrixU,
+    _exact_open_count,
     count_block,
     count_direct,
     half_space_grid,
@@ -126,6 +127,33 @@ def test_dyadic_u_boundary_storm():
         assert count_direct(p2, u, 25.0).total == slow_reference_count(p2, u, 25.0)
 
 
+def test_dyadic_u_boundary_storm_euclidean():
+    # the squared-radius exact path and the Euclidean below-T cut, on dyadic u
+    p = validate(
+        ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.5), norm=Norm.EUCLIDEAN)
+    )
+    kernel = CountingKernel(p, 0, 3)
+    grid = [0.0, 0.25, 0.5, 0.75]
+    for a in grid:
+        for b in grid:
+            u = MatrixU(np.array([[a, b], [b, 0.5]]))
+            for T in (5.0, 7.5, 10.0):
+                want = brute_force_count(p, u, T)
+                assert count_direct(p, u, T).total == want
+                assert kernel.count_up_to(u, T) == want
+                assert slow_reference_count(p, u, T) == want
+
+
+def test_exact_open_count_radius_keys():
+    # the squared key k^2 must settle every p exactly as the plain key k does
+    for c in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
+        for theta, w in ((Fraction(3), Fraction(1)), (Fraction(1), Fraction(1, 2)), (Fraction(5, 2), Fraction(3, 2))):
+            for k in (1, 2, 3, 4):
+                assert _exact_open_count(c, theta, w, k * k, True) == _exact_open_count(c, theta, w, k, False)
+    assert _exact_open_count(Fraction(0), Fraction(3), Fraction(1), 2, False) == 3  # |p| < 3/2
+    assert _exact_open_count(Fraction(1, 2), Fraction(1), Fraction(1), 2, False) == 0  # |p + 1/2| < 1/2
+
+
 def test_block_oracle_euclidean():
     p22 = validate(
         ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.7), norm=Norm.EUCLIDEAN)
@@ -198,10 +226,10 @@ def test_matrix_u_validation():
 def test_normalize_clt():
     C = 8.0
     T = math.e**5
-    assert normalize_clt(int(C * 5), T, C, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert normalize_clt(int(C * 5), T, C) == pytest.approx(0.0, abs=1e-9)
     count = C * 5 + math.sqrt(5)
-    assert normalize_clt(count, T, C, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert normalize_clt(count, T, C) == pytest.approx(1.0, rel=1e-12)
     # frozen arithmetic on the oracle count of the dyadic-irrational example
-    assert normalize_clt(60, 1000.0, 8.0, 27.79) == pytest.approx(1.8026969070697845, rel=1e-12)
+    assert normalize_clt(60, 1000.0, 8.0) == pytest.approx(1.8026969070697845, rel=1e-12)
     with pytest.raises(ValidationError):
-        normalize_clt(1, 1.0, C, 1.0)
+        normalize_clt(1, 1.0, C)

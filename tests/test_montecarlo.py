@@ -150,8 +150,8 @@ def _theta_terms(N):
 
 
 def test_run_alpha_tail_trivial_L1():
-    cfg = ExperimentConfig(problem=P21, samples=50, seed=2)
-    rows = run_alpha_tail(cfg, L_grid=(1.0, 2.0), kappa=4.0)
+    cfg = ExperimentConfig(problem=P21, samples=50, seed=2, L_grid=(1.0, 2.0), kappa=4.0)
+    rows = run_alpha_tail(cfg)
     assert rows[0].L == 1.0 and rows[0].tail == 1.0  # alpha >= 1 always
     assert rows[1].tail <= rows[0].tail  # nested events
     assert rows[0].s == 0
@@ -169,6 +169,3 @@ def test_experiment_config_validation():
         ExperimentConfig(problem=P21, samples=0)
     with pytest.raises(ValidationError):
         ExperimentConfig(problem=P21, N=0)
-    cfg = ExperimentConfig(problem=P21, thresholds={"clt_ks": 0.1})
-    assert cfg.thresholds["clt_ks"] == 0.1
-    assert cfg.thresholds["lln_gap"] == 1.0  # defaults merged
