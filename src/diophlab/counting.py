@@ -239,21 +239,20 @@ class CountingKernel:
     ``rho`` = theta_i * ||q||^{-w_i} do not depend on u.
     """
 
-    def __init__(self, problem: ApproximationProblem, s_lo: int, s_hi: int, cap: int | None = None):
+    def __init__(self, problem: ApproximationProblem, s_lo: int, s_hi: int):
         if not 0 <= s_lo < s_hi:
             raise ValidationError("need 0 <= s_lo < s_hi")
         self.problem = problem
         self.s_lo = int(s_lo)
         self.s_hi = int(s_hi)
-        cap = enumeration_cap() if cap is None else cap
-        self._build(cap)
+        self._build()
 
-    def _build(self, cap: int) -> None:
+    def _build(self) -> None:
         p = self.problem
         squared = squared_radii(p)
         radius_range = block_sq_radius_range if squared else block_radius_range
         lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
-        self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared, cap)
+        self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared, enumeration_cap())
         bounds = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)])
         self.block_of = self.s_lo + np.searchsorted(bounds, self.radii, side="right").astype(np.int64)
         self.rho = interval_radii(p, self.radii)
@@ -309,7 +308,6 @@ def count_direct(
     u: MatrixU,
     T: float,
     convention: Convention = Convention.BOTH_SIGNS,
-    cap: int | None = None,
 ) -> CountResult:
     """|{(p, q) : 0 < ||q|| < T, |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}|.
 
@@ -317,7 +315,7 @@ def count_direct(
     when T = e^N the blocks are exactly the shell counts for s = 0..N-1 and
     they sum to the total.
     """
-    kernel = CountingKernel(problem, 0, _blocks_needed_for(T), cap=cap)
+    kernel = CountingKernel(problem, 0, _blocks_needed_for(T))
     blocks = kernel._block_counts_below(u, T, convention)
     total = int(blocks.sum())
     return CountResult(
@@ -330,12 +328,11 @@ def count_block(
     u: MatrixU,
     s: int,
     convention: Convention = Convention.BOTH_SIGNS,
-    cap: int | None = None,
 ) -> int:
     """Count restricted to the shell e^s <= ||q|| < e^{s+1}."""
     if s < 0:
         raise ValidationError("block index s must be >= 0")
-    kernel = CountingKernel(problem, s, s + 1, cap=cap)
+    kernel = CountingKernel(problem, s, s + 1)
     return int(kernel.block_counts(u, convention)[0])
 
 

@@ -1,18 +1,18 @@
 """Space-of-lattices observables: Lambda_u, the diagonal flow, Siegel
 transforms, and the reciprocal-covolume function alpha.
 
-alpha(L) is the maximum over j of 1 / (minimal covolume of a j-dimensional
-subspace spanned by lattice vectors).  It is computed by certified
-short-vector enumeration: for each j, all lattice vectors of Euclidean norm
-up to a Minkowski-derived radius are enumerated and j-subsets are scored by
-their Gram determinant.  Rank <= 4 lattices have a basis attaining the
-successive minima, and the product of minima is at most (2^j / v_j) times
-the covolume (v_j = volume of the Euclidean unit j-ball), so any subspace
-beating the current best is spanned inside the radius
-(2^j / v_j) * best / (lambda_1 ... lambda_{j-1}) built from the global
-successive minima; the radius is re-checked after each scan and enlarged
-until certified.  Covolumes are Euclidean regardless of the problem's
-counting norm.
+alpha(L) is the maximum over j of 1 / (minimal covolume of a rank-j
+sublattice), and at least 1.  For unimodular L, a primitive rank-j
+sublattice D and the rank-(d - j) sublattice of the dual lattice L*
+orthogonal to D have the same covolume, so for d <= 5 every rank reduces
+to rank 1 or 2 on L or on L*.  Both bases are LLL-reduced, the dual one
+formed from the reduced basis of L.  Rank 1 is lambda_1, found by
+enumerating up to the shortest reduced column.  Rank 2 is certified by
+short-vector enumeration: a rank-2 lattice has a basis attaining its
+minima mu_1 <= mu_2, with mu_1 >= lambda_1 and mu_1 mu_2 <= (4 / pi) covol,
+so the optimal pair lies within (4 / pi) * best / lambda_1; the radius is
+re-checked after each scan and enlarged until certified.  Covolumes are
+Euclidean regardless of the problem's counting norm.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ def siegel_transform_box(
     lat: UnimodularLattice,
     s: int,
     norm: Norm = Norm.SUP,
-    cap: int | None = None,
 ) -> int:
     """Number of nonzero points of a^s Lambda_u inside the support of f.
 
@@ -143,15 +142,14 @@ def siegel_transform_box(
     u, s0 = lat.provenance
     if s0 != 0:
         raise ValidationError("siegel_transform_box needs the unflowed lattice (s = 0)")
-    cap = enumeration_cap() if cap is None else cap
     problem = ApproximationProblem(m=u.m, n=u.n, weights=f.weights, thetas=f.thetas, norm=norm)
     squared = squared_radii(problem)
     lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared)
-    q, radii = half_space_grid(u.n, lo, hi, squared, cap)
+    q, radii = half_space_grid(u.n, lo, hi, squared, enumeration_cap())
     return 2 * int(per_q_product_counts(problem, u, q, radii).sum())
 
 
-def siegel_transform_points(box, lat: UnimodularLattice, cap: int | None = None) -> int:
+def siegel_transform_points(box, lat: UnimodularLattice) -> int:
     """Exact number of nonzero lattice points in a closed axis box.
 
     ``box`` is a sequence of (lo, hi) pairs, one per coordinate.  Points are
@@ -159,7 +157,7 @@ def siegel_transform_points(box, lat: UnimodularLattice, cap: int | None = None)
     under the basis; membership on the boundary is settled in exact dyadic
     arithmetic.
     """
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     d = lat.dimension
     bounds = np.array([[float(lo), float(hi)] for lo, hi in box], dtype=np.float64)
     if bounds.shape != (d, 2):
@@ -290,206 +288,100 @@ def _fincke_pohst(basis: np.ndarray, radius: float, cap: int):
     return np.array(found, dtype=np.int64)
 
 
-def _int_rank(cols) -> int:
-    """Exact rank of a list of integer vectors (Gaussian elimination over Q)."""
-    ncols = len(cols)
-    if ncols == 0:
-        return 0
-    nrows = len(cols[0])
-    work = [[Fraction(int(cols[c][r])) for c in range(ncols)] for r in range(nrows)]
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        for r in range(row + 1, nrows):
-            if work[r][col] != 0:
-                factor = work[r][col] / pv
-                for cc in range(col, ncols):
-                    work[r][cc] -= factor * work[row][cc]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+def _independent(x, y) -> bool:
+    """Whether two integer vectors are linearly independent (a 2x2 minor is nonzero)."""
+    x, y = [int(v) for v in x], [int(v) for v in y]
+    return any(x[i] * y[k] != x[k] * y[i] for i in range(len(x)) for k in range(i))
 
 
-_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0, 4: math.pi**2 / 2.0, 5: 8.0 * math.pi**2 / 15.0}
+# lambda_1 lambda_2 <= (4 / pi) covol for a rank-2 lattice (Minkowski's second theorem)
+_RANK2_FACTOR = 4.0 / math.pi
+_ALPHA_CAP = 2_000_000  # Fincke-Pohst node budget per enumeration
 
 
-def _minkowski_factor(j: int) -> float:
-    # product of successive minima <= (2^j / v_j) * covolume
-    return (2.0**j) / _BALL_VOLUME[j]
-
-
-def _scan_min_covolume(vecs: np.ndarray, coords: np.ndarray, norms: np.ndarray, j: int, best: float, bound: float) -> float:
-    """Minimum sqrt(Gram det) over j-subsets whose norm product can beat ``bound``."""
+def _scan_min_covolume(vecs: np.ndarray, coords: np.ndarray, norms: np.ndarray, best: float, bound: float) -> float:
+    """Minimum sqrt(Gram det) over independent pairs whose norm product can beat ``bound``."""
     order = np.argsort(norms)
     vecs, coords, norms = vecs[order], coords[order], norms[order]
-    k = len(norms)
-    if k < j:
-        return best
-
-    if j == 2:
-        for a in range(k - 1):
-            na = norms[a]
-            if na * na > bound * (1 + 1e-12):
-                break
-            limit = bound / na
-            hi = np.searchsorted(norms, limit * (1 + 1e-12), side="right")
-            if hi <= a + 1:
-                continue
-            w = vecs[a + 1 : hi]
-            nw = norms[a + 1 : hi]
-            dots = w @ vecs[a]
-            g = (na * nw) ** 2 - dots**2
-            scale = (na * nw) ** 2
-            cand = g > 1e-9 * scale
-            fuzzy = np.nonzero((g <= 1e-9 * scale) & (g > -1e-9 * scale))[0]
-            for idx in fuzzy:
-                if _int_rank([coords[a], coords[a + 1 + idx]]) == 2:
-                    cand[idx] = True
-            if np.any(cand):
-                local = math.sqrt(max(float(np.min(g[cand])), 0.0))
-                if local < best:
-                    best = local
-                    bound = min(bound, _minkowski_factor(2) * best)
-        return best
-
-    # generic depth-first scan for j >= 3; the last member is vectorized via
-    # det Gram(chosen + v) = det Gram(chosen) * dist(v, span(chosen))^2
-    chosen: list[int] = []
-
-    def close_out(start: int, prod: float):
-        nonlocal best, bound
-        sub = vecs[chosen]
-        det_a = float(np.linalg.det(sub @ sub.T))
-        scale_a = float(np.prod(norms[chosen]) ** 2)
-        hi = np.searchsorted(norms, (bound / prod) * (1 + 1e-12), side="right")
-        if hi <= start:
-            return
-        if det_a <= 1e-9 * scale_a:
-            # chosen prefix is (numerically) dependent; settle it exactly and,
-            # in the rare independent-but-ill-conditioned case, score each
-            # candidate by a direct Gram determinant
-            chosen_coords = [coords[c] for c in chosen]
-            if _int_rank(chosen_coords) < len(chosen):
-                return
-            for t in range(start, hi):
-                if _int_rank(chosen_coords + [coords[t]]) < j:
-                    continue
-                full = np.vstack([sub, vecs[t]])
-                det = float(np.linalg.det(full @ full.T))
-                if det > 0 and math.sqrt(det) < best:
-                    best = math.sqrt(det)
-                    bound = min(bound, _minkowski_factor(j) * best)
-            return
-        w = vecs[start:hi]
-        qm, _ = np.linalg.qr(sub.T)  # (dim, j-1) orthonormal
-        proj = w @ qm
-        res2 = np.sum(w * w, axis=1) - np.sum(proj * proj, axis=1)
-        nw2 = norms[start:hi] ** 2
-        solid = res2 > 1e-9 * nw2
-        fuzzy = np.nonzero(~solid & (det_a * np.maximum(res2, 0.0) < best * best))[0]
+    for a in range(len(norms) - 1):
+        na = norms[a]
+        if na * na > bound * (1 + 1e-12):
+            break
+        limit = bound / na
+        hi = np.searchsorted(norms, limit * (1 + 1e-12), side="right")
+        if hi <= a + 1:
+            continue
+        w = vecs[a + 1 : hi]
+        nw = norms[a + 1 : hi]
+        dots = w @ vecs[a]
+        g = (na * nw) ** 2 - dots**2
+        scale = (na * nw) ** 2
+        cand = g > 1e-9 * scale
+        fuzzy = np.nonzero((g <= 1e-9 * scale) & (g > -1e-9 * scale))[0]
         for idx in fuzzy:
-            if _int_rank([coords[c] for c in chosen] + [coords[start + idx]]) == j:
-                solid[idx] = True
-        if np.any(solid):
-            local = math.sqrt(max(det_a * float(np.min(res2[solid])), 0.0))
+            if _independent(coords[a], coords[a + 1 + idx]):
+                cand[idx] = True
+        if np.any(cand):
+            local = math.sqrt(max(float(np.min(g[cand])), 0.0))
             if local < best:
                 best = local
-                bound = min(bound, _minkowski_factor(j) * best)
-
-    def rec(start: int, prod: float):
-        nonlocal best, bound
-        if len(chosen) == j - 1:
-            close_out(start, prod)
-            return
-        need = j - len(chosen)
-        for idx in range(start, k - need + 1):
-            new_prod = prod * norms[idx]
-            if new_prod * norms[idx] ** (need - 1) > bound * (1 + 1e-12):
-                break
-            chosen.append(idx)
-            rec(idx + 1, new_prod)
-            chosen.pop()
-
-    rec(0, 1.0)
+                bound = min(bound, _RANK2_FACTOR * best)
     return best
 
 
-def _successive_minima(basis: np.ndarray, cap: int) -> np.ndarray:
-    """Euclidean successive minima, from one enumeration up to the largest
-    reduced-basis column norm (which bounds every minimum)."""
-    d = basis.shape[0]
-    radius = float(np.max(np.linalg.norm(basis, axis=0)))
-    coords = _fincke_pohst(basis, radius * (1 + 1e-12), cap)
-    vecs = coords.astype(np.float64) @ basis.T
-    norms = np.linalg.norm(vecs, axis=1)
-    order = np.argsort(norms)
-    minima = []
-    chosen: list[np.ndarray] = []
-    for idx in order:
-        cand = coords[idx]
-        if _int_rank(chosen + [cand]) == len(chosen) + 1:
-            chosen.append(cand)
-            minima.append(float(norms[idx]))
-            if len(chosen) == d:
-                break
-    if len(minima) < d:  # pragma: no cover - basis is full rank
-        raise ValidationError("could not determine successive minima")
-    return np.array(minima)
+def _shortest_length(basis: np.ndarray) -> float:
+    """Euclidean lambda_1, from one enumeration up to the shortest basis column."""
+    radius = float(np.min(np.linalg.norm(basis, axis=0)))
+    coords = _fincke_pohst(basis, radius * (1 + 1e-12), _ALPHA_CAP)
+    return float(np.min(np.linalg.norm(coords.astype(np.float64) @ basis.T, axis=1)))
 
 
-def _min_covolume(basis: np.ndarray, j: int, minima: np.ndarray, cap: int) -> float:
-    """Certified minimal covolume of a j-dimensional sublattice-spanned subspace.
+def _min_covolume(basis: np.ndarray, lambda1: float) -> float:
+    """Certified minimal covolume of a rank-2 sublattice.
 
-    The minima of the optimal sublattice dominate the global minima and
-    multiply to at most (2^j / v_j) times its covolume, so once the
-    enumeration radius reaches factor * best / prod(minima[:j-1]) every
-    candidate that could improve on ``best`` has been scanned.
+    The optimal sublattice has a basis attaining its minima mu_1 <= mu_2,
+    with mu_1 >= lambda1 and mu_1 mu_2 <= (4/pi) covol, so once the
+    enumeration radius reaches (4/pi) * best / lambda1 every pair that could
+    improve on ``best`` has been scanned.
     """
     d = basis.shape[0]
-    # seed: subsets of a basis span primitive sublattices
+    # seed: pairs of basis columns span primitive sublattices
     best = math.inf
-    for subset in itertools.combinations(range(d), j):
-        sub = basis[:, subset]
-        det = float(np.linalg.det(sub.T @ sub))
-        best = min(best, math.sqrt(max(det, 0.0)))
-    factor = _minkowski_factor(j)
-    lower_product = float(np.prod(minima[: j - 1])) if j > 1 else 1.0
-    radius = max(float(minima[0]) * 1.5, (factor * best) ** (1.0 / j) * 1.2)
+    for pair in itertools.combinations(range(d), 2):
+        sub = basis[:, pair]
+        best = min(best, math.sqrt(max(float(np.linalg.det(sub.T @ sub)), 0.0)))
+    radius = max(lambda1 * 1.5, (_RANK2_FACTOR * best) ** 0.5 * 1.2)
     for _ in range(16):
-        coords = _fincke_pohst(basis, radius, cap)
+        coords = _fincke_pohst(basis, radius, _ALPHA_CAP)
         if coords.shape[0]:
             vecs = coords.astype(np.float64) @ basis.T
             norms = np.linalg.norm(vecs, axis=1)
-            best = _scan_min_covolume(vecs, coords, norms, j, best, factor * best)
-        needed = factor * best / lower_product
+            best = _scan_min_covolume(vecs, coords, norms, best, _RANK2_FACTOR * best)
+        needed = _RANK2_FACTOR * best / lambda1
         if needed <= radius * (1 + 1e-9):
             return best
         radius = needed
     raise CapExceededError("alpha radius escalation failed to certify")
 
 
-def alpha(lat: UnimodularLattice, cap: int | None = None) -> float:
+def alpha(lat: UnimodularLattice) -> float:
     """sup over sublattice-spanned subspaces V of 1 / covol(V); always >= 1.
 
-    Certified for dimension <= 5; larger dimensions raise ValidationError.
+    Ranks d - 1 and d - 2 are read off the dual lattice (ranks 1 and 2 there),
+    so only rank-1 and rank-2 searches run.  Certified for dimension <= 5;
+    larger dimensions raise ValidationError.
     """
     d = lat.dimension
     if d > 5:
         raise ValidationError(f"alpha is certified for dimension <= 5 only, got {d}")
-    cap = 2_000_000 if cap is None else cap
     reduced = _lll_reduce(lat.basis)
-    minima = _successive_minima(reduced, cap)
-    out = max(1.0, 1.0 / float(minima[0]))
-    for j in range(2, d):
-        cov = _min_covolume(reduced, j, minima, cap)
-        out = max(out, 1.0 / cov)
+    dual = _lll_reduce(np.linalg.inv(reduced).T)
+    lam, lam_dual = _shortest_length(reduced), _shortest_length(dual)
+    out = max(1.0, 1.0 / lam, 1.0 / lam_dual)
+    if d >= 4:
+        out = max(out, 1.0 / _min_covolume(reduced, lam))
+    if d == 5:  # at d = 4 the dual rank-2 minimum is the same number
+        out = max(out, 1.0 / _min_covolume(dual, lam_dual))
     return out
 
 
@@ -499,7 +391,6 @@ def truncated_siegel(
     L: float,
     s: int = 0,
     problem: ApproximationProblem | None = None,
-    cap: int | None = None,
 ) -> float:
     """Sharp-L truncation: the Siegel transform if alpha(a^s Lambda) <= L, else 0.
 
@@ -522,9 +413,9 @@ def truncated_siegel(
         if a_val > L:
             return 0.0
         norm = problem.norm if problem is not None else Norm.SUP
-        return float(siegel_transform_box(f, lat, s, norm=norm, cap=cap))
+        return float(siegel_transform_box(f, lat, s, norm=norm))
     if s != 0:
         raise ValidationError("axis-box truncation is defined at s = 0 only")
     if alpha(lat) > L:
         return 0.0
-    return float(siegel_transform_points(f, lat, cap=cap))
+    return float(siegel_transform_points(f, lat))

@@ -56,6 +56,14 @@ class ExperimentConfig:
             raise ValidationError("need N >= 1")
         if self.workers < 1:
             raise ValidationError("need workers >= 1")
+        if not self.n_grid or min(self.n_grid) < 1:
+            raise ValidationError("n_grid needs at least one entry, all >= 1")
+        if not self.lags:
+            raise ValidationError("lags needs at least one entry")
+        if self.t_base < 0 or self.t_base + min(self.lags) < 0:
+            raise ValidationError("need t_base >= 0 and t_base + min(lags) >= 0")
+        if not self.L_grid or min(self.L_grid) < 1:
+            raise ValidationError("L_grid needs at least one entry, all >= 1")
 
 
 @dataclass(frozen=True)
@@ -286,18 +294,11 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
     carries the factor-2 diagnostic comparing the variance of the positive-q
     normalization with both candidate constants.
     """
+    consts = theory.constants(config.problem)  # raises for m + n < 3
+    C = consts.C
+    sigma2 = consts.sigma2 if config.problem.m >= 2 else None
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, config.N))
     totals = blocks.sum(axis=1)
-    consts = None
-    sigma2 = None
-    try:
-        consts = theory.constants(config.problem)
-        sigma2 = consts.sigma2 if config.problem.m >= 2 else None
-    except ValidationError:
-        consts = None
-    C = consts.C if consts is not None else None
-    if C is None:
-        raise ValidationError("CLT run needs m + n >= 3 for the theory constants")
 
     def normalized(upto: int) -> np.ndarray:
         t = blocks[:, :upto].sum(axis=1)
@@ -317,7 +318,7 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
         trace.append(CltTraceRow(N=N, variance=s.variance, cum3=s.cum3, cum4=s.cum4, ks=s.ks_distance))
 
     factor2 = None
-    if config.problem.n == 1 and config.convention is Convention.BOTH_SIGNS and consts is not None:
+    if config.problem.n == 1 and config.convention is Convention.BOTH_SIGNS:
         # positive-q normalization: Delta_pos = Delta/2 exactly, C_m = C/2
         D_vec = (totals / 2.0 - (C / 2.0) * config.N) / math.sqrt(config.N)
         var_vec = float(np.var(D_vec))
@@ -437,8 +438,6 @@ def run_alpha_tail(config: ExperimentConfig):
 
     rows = []
     for L in config.L_grid:
-        if L < 1:
-            raise ValidationError("L must be >= 1")
         s = int(math.ceil(config.kappa * math.log(L))) if L > 1 else 0
 
         def one(i: int) -> bool:

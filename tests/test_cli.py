@@ -136,6 +136,22 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lln", "--n-grid", ","],
+        ["lln", "--n-grid", "0,3"],
+        ["covariance", "--lags", ","],
+        ["covariance", "--logT", "3", "--t-base", "0", "--lags=-1"],
+        ["alpha-tail", "--L-grid", ","],
+    ],
+)
+def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
+    problem = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "5"]
+    assert main(argv + problem + ["--out-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])
 def test_bad_cap_is_usage_error(tmp_path, monkeypatch, cap):
     monkeypatch.setenv("DIOPH_CAP", cap)

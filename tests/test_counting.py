@@ -209,9 +209,10 @@ def test_half_space_grid_n1_and_cap():
     assert half_space_grid(2, 1, 2, False, cap=25)[0].shape == (2, 12)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("DIOPH_CAP", "1000")
     with pytest.raises(CapExceededError):
-        count_direct(P21, MatrixU(np.zeros((2, 1))), 1e6, cap=1000)
+        count_direct(P21, MatrixU(np.zeros((2, 1))), 1e6)
 
 
 def test_matrix_u_validation():

@@ -153,9 +153,10 @@ def test_siegel_points_random_oracle():
         assert siegel_transform_points(box, lat) == _points_oracle(box, lat)
 
 
-def test_siegel_points_cap():
+def test_siegel_points_cap(monkeypatch):
+    monkeypatch.setenv("DIOPH_CAP", "100")
     with pytest.raises(CapExceededError):
-        siegel_transform_points([(-50.0, 50.0)] * 2, UnimodularLattice(np.eye(2)), cap=100)
+        siegel_transform_points([(-50.0, 50.0)] * 2, UnimodularLattice(np.eye(2)))
 
 
 def _alpha_exhaustive(basis, radius):
@@ -209,6 +210,30 @@ def test_alpha_at_least_one_and_matches_exhaustive():
         lat = apply_flow(lattice_from_u(P21, u), 3, P21)
         a = alpha(lat)
         assert a == pytest.approx(_alpha_exhaustive(lat.basis, 2.5 / min(a, 2.5) + 2.5), rel=1e-9)
+
+
+P22 = validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.0)))
+P32 = validate(ApproximationProblem(m=3, n=2, weights=(Fraction(2, 3),) * 3, thetas=(1.0,) * 3))
+
+
+@pytest.mark.parametrize("prob, flow_times, radius", [(P22, (2, 3), 2.0), (P32, (1, 2), 1.6)])
+def test_alpha_duality_matches_exhaustive(prob, flow_times, radius):
+    # d = 4 and 5 read ranks d - 1 and d - 2 off the dual lattice; with this
+    # seed each of ranks 2 .. d - 1 attains alpha on some lattice of the set
+    rng = np.random.default_rng(1)
+    for s in flow_times:
+        for _ in range(2):
+            lat = apply_flow(lattice_from_u(prob, MatrixU(rng.random((prob.m, prob.n)))), s, prob)
+            assert alpha(lat) == pytest.approx(_alpha_exhaustive(lat.basis, radius), rel=1e-12)
+
+
+def test_alpha_equals_dual_alpha():
+    rng = np.random.default_rng(8)
+    for prob in (P11, P21, P22, P32):
+        for s in (0, 1, 3):
+            lat = apply_flow(lattice_from_u(prob, MatrixU(rng.random((prob.m, prob.n)))), s, prob)
+            dual = UnimodularLattice(np.linalg.inv(lat.basis).T)
+            assert alpha(dual) == pytest.approx(alpha(lat), rel=1e-12)
 
 
 def test_alpha_uncertified_above_five():

@@ -165,7 +165,17 @@ def test_run_siegel_mean_small():
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ValidationError):
-        ExperimentConfig(problem=P21, samples=0)
-    with pytest.raises(ValidationError):
-        ExperimentConfig(problem=P21, N=0)
+    for bad in (
+        {"samples": 0},
+        {"N": 0},
+        {"n_grid": ()},
+        {"n_grid": (0, 3)},
+        {"lags": ()},
+        {"t_base": -1},
+        {"t_base": 0, "lags": (-1,)},
+        {"t_base": 2, "lags": (0, -3)},
+        {"L_grid": ()},
+        {"L_grid": (2.0, 0.5)},
+    ):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(problem=P21, **bad)
