@@ -312,6 +312,8 @@ def _cmd_alpha_tail(cfg: CliConfig) -> int:
 
 def _cmd_variance(cfg: CliConfig) -> int:
     problem = cfg.problem()
+    if not cfg.lags:
+        raise ValidationError("lags needs at least one entry")
     consts = theory.constants(problem)
     table = [(s, montecarlo._theta_for_lag(problem, s)) for s in cfg.lags]
     record = {

@@ -2,10 +2,16 @@
 
 The count for one denominator q is a product over the m forms of the number
 of integers in an open interval, so no p is ever enumerated here.  Interval
-endpoints are evaluated in double precision; whenever an endpoint lands
-within relative margin 1e-9 of an integer the decision is escalated to exact
-rational arithmetic (entries of u are dyadic, q is integral, weights are
-rational, so the strict inequality can be settled by cross-powering).
+endpoints are evaluated in double precision, and a q is escalated to exact
+rational arithmetic only when an endpoint lies within a certified float
+error bound of an integer (``per_q_product_counts`` states the bound and its
+one assumption; entries of u are dyadic, q is integral, weights are
+rational, so the strict inequality can be settled by cross-powering).  An
+interval narrower than 1 holds at most one integer, so for most q the count
+is one mask ||<u_i, q>|| < rho_i.  Form i + 1 is evaluated only where the
+product over forms 0..i is still nonzero, and q is processed in chunks of
+``_CHUNK`` columns, so the per-call work arrays stay cache-sized whatever
+the grid.
 
 Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
 ``squared_radii(problem)`` holds (Euclidean norm, n >= 2), so the square
@@ -33,7 +39,8 @@ from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm
 
 DEFAULT_CAP = 2**31
-_BOUNDARY_MARGIN = 1e-9
+_CHUNK = 1 << 16  # q columns per chunk: the work arrays of one chunk stay near L2 size
+_SAFETY = 16.0  # factor on the float error bound of per_q_product_counts
 
 
 def enumeration_cap() -> int:
@@ -182,6 +189,64 @@ def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarr
     return np.stack([problem.thetas[i] * norm_f ** (-w[i]) for i in range(problem.m)])
 
 
+def _form_counts(t: np.ndarray, rho: np.ndarray, err: float) -> tuple[np.ndarray, np.ndarray]:
+    """Float counts #{p : |p + t| < rho} and the mask of q that float cannot settle.
+
+    ``err`` bounds the float error of t and rho.  Where 2 rho < 1 - 2 err the
+    open interval holds at most one integer, so the count is ||t|| < rho with
+    ||t|| = |t - rint(t)| (exact in floats); only the few wider intervals take
+    ceil(hi) - floor(lo) - 1.  A q is suspicious when the decision sits within
+    ``err`` of flipping.
+    """
+    wide = np.flatnonzero(rho >= 0.5 - err)
+    diff = np.rint(t)
+    np.subtract(t, diff, out=diff)
+    np.abs(diff, out=diff)
+    diff -= rho  # ||t|| - rho
+    cnt = (diff < 0).astype(np.int64)
+    sus = np.abs(diff, out=diff) <= err
+    if wide.size:
+        hi = rho[wide] - t[wide]
+        lo = -rho[wide] - t[wide]
+        cnt[wide] = (np.ceil(hi) - np.floor(lo) - 1.0).astype(np.int64)
+        sus[wide] = (np.abs(hi - np.rint(hi)) <= err) | (np.abs(lo - np.rint(lo)) <= err)
+    return cnt, sus
+
+
+def _chunk_counts(problem: ApproximationProblem, u: MatrixU, q_int: np.ndarray, radii: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``per_q_product_counts`` of one chunk of q (see there for the error bound)."""
+    n = problem.n
+    squared = squared_radii(problem)
+    q = q_int.astype(np.float64)
+    key = int(radii.max())
+    l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the chunk
+    prod = None  # product over the forms so far
+    live = None  # columns where it is still nonzero; None before the first form
+    for i in range(problem.m):
+        err = _SAFETY * 2.0**-52 * (n * l1 + 2.0 * problem.thetas[i] + 1.0)
+        rows = q if live is None else q[:, live]
+        t = u.entries[i, 0] * rows[0]  # <u_i, q>, summed term by term
+        for k in range(1, n):
+            t += u.entries[i, k] * rows[k]
+        rho_i = rho[i] if live is None else rho[i, live]
+        cnt, sus = _form_counts(t, rho_i, err)
+        if np.any(sus):
+            u_row = u.row_fractions(i)
+            theta = Fraction(problem.thetas[i])
+            for j in np.flatnonzero(sus):
+                col = j if live is None else live[j]
+                c = sum(u_row[k] * int(q_int[k, col]) for k in range(n))
+                cnt[j] = _exact_open_count(c, theta, problem.weights[i], int(radii[col]), squared)
+        if live is None:
+            prod, live = cnt, np.flatnonzero(cnt != 0)
+        else:
+            prod[live] *= cnt
+            live = live[cnt != 0]
+        if not live.size:
+            break
+    return prod
+
+
 def per_q_product_counts(
     problem: ApproximationProblem,
     u: MatrixU,
@@ -193,36 +258,32 @@ def per_q_product_counts(
 
     ``q_int`` is an (n, K) integer array and ``radii`` its integer radius keys
     (see ``squared_radii``).  ``rho`` may carry the precomputed
-    ``interval_radii``.
+    ``interval_radii``.  Columns are counted in chunks of ``_CHUNK``; form
+    i + 1 is evaluated only on the q whose product is still nonzero.
+
+    Error bound.  Entries of u lie in [0, 1) and q is an exact integer, so
+    the float t = <u_i, q> is within gamma_n ||q||_1 ~ n 2^-53 ||q||_1 of the
+    exact value (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1).  The float rho_i = theta_i ||q||^{-w_i} is within a few ulps
+    of the real one plus rho_i w_i ln||q|| 2^-53 <= theta_i 2^-53 / e from
+    rounding w_i; the subtraction rho_i - t adds half an ulp of |t| + rho_i.
+    With ||q||_1 <= l1 over the chunk, every endpoint is therefore within
+
+        err_i = SAFETY 2^-52 (n l1 + 2 theta_i + 1),   SAFETY = 16,
+
+    of its exact value, assuming only that libm ``pow`` is accurate to a few
+    ulps (it is not correctly rounded; SAFETY absorbs that).  A q is settled
+    by exact rationals (``_exact_open_count``) only when an endpoint, or
+    ||t|| against rho_i for a narrow interval, lies within err_i of flipping.
     """
     if u.m != problem.m or u.n != problem.n:
         raise ValidationError("u has wrong shape for the problem")
-    q_float = q_int.astype(np.float64)
-    if rho is None:
-        rho = interval_radii(problem, radii)
-    squared = squared_radii(problem)
-
-    prod = np.ones(q_float.shape[1], dtype=np.int64)
-    for i in range(problem.m):
-        t = u.entries[i] @ q_float  # <u_i, q>
-        hi = rho[i] - t
-        lo = -rho[i] - t
-        cnt = np.ceil(hi) - np.floor(lo) - 1.0
-        margin_hi = np.abs(hi - np.rint(hi))
-        margin_lo = np.abs(lo - np.rint(lo))
-        sus = (margin_hi < _BOUNDARY_MARGIN * np.maximum(1.0, np.abs(hi))) | (
-            margin_lo < _BOUNDARY_MARGIN * np.maximum(1.0, np.abs(lo))
-        )
-        cnt_i = cnt.astype(np.int64)
-        if np.any(sus):
-            u_row = u.row_fractions(i)
-            theta = Fraction(problem.thetas[i])
-            w_i = problem.weights[i]
-            for j in np.nonzero(sus)[0]:
-                c = sum(u_row[k] * int(q_int[k, j]) for k in range(problem.n))
-                cnt_i[j] = _exact_open_count(c, theta, w_i, int(radii[j]), squared)
-        prod *= cnt_i
-    return prod
+    out = np.empty(q_int.shape[1], dtype=np.int64)
+    for start in range(0, q_int.shape[1], _CHUNK):
+        part = slice(start, start + _CHUNK)
+        rho_part = interval_radii(problem, radii[part]) if rho is None else rho[:, part]
+        out[part] = _chunk_counts(problem, u, q_int[:, part], radii[part], rho_part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +335,10 @@ class CountingKernel:
         return value
 
     def _shell_counts(self, u: MatrixU, convention: Convention, mask) -> np.ndarray:
-        per_q = self._counts_per_q(u)
+        per_q = self._counts_per_q(u)[mask]
+        hit = per_q != 0  # most q count 0; bin only the others
         out = np.bincount(
-            self.block_of[mask] - self.s_lo, weights=per_q[mask], minlength=self.n_shells
+            self.block_of[mask][hit] - self.s_lo, weights=per_q[hit], minlength=self.n_shells
         ).astype(np.int64)
         return self._apply_convention(out, convention)
 

@@ -144,6 +144,7 @@ def test_cap_exceeded_exit_code(tmp_path):
         ["covariance", "--lags", ","],
         ["covariance", "--logT", "3", "--t-base", "0", "--lags=-1"],
         ["alpha-tail", "--L-grid", ","],
+        ["variance", "--lags", ","],
     ],
 )
 def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):

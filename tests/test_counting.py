@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diophlab import counting, montecarlo
 from diophlab.counting import (
     Convention,
     CountingKernel,
@@ -16,6 +17,7 @@ from diophlab.counting import (
     normalize_clt,
 )
 from diophlab.errors import CapExceededError, ValidationError
+from diophlab.lattice import WeightedBoxFunction, lattice_from_u, siegel_transform_box
 from diophlab.oracles import brute_force_block, brute_force_count, slow_reference_count
 from diophlab.problem import ApproximationProblem, Norm, validate
 
@@ -142,6 +144,59 @@ def test_dyadic_u_boundary_storm_euclidean():
                 assert count_direct(p, u, T).total == want
                 assert kernel.count_up_to(u, T) == want
                 assert slow_reference_count(p, u, T) == want
+
+
+P22E = validate(
+    ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.7), norm=Norm.EUCLIDEAN)
+)
+P13 = validate(ApproximationProblem(m=1, n=3, weights=(3,), thetas=(0.8,)))
+
+
+@pytest.mark.parametrize("problem,N", [(P21, 6), (P22E, 3), (P13, 2)], ids=["21", "22-euclid", "13-sup"])
+def test_chunk_boundaries_leave_counts_unchanged(monkeypatch, problem, N):
+    # a prime chunk length splits shells, survivors and suspicious q at odd places
+    rng = np.random.default_rng(41)
+    shape = (problem.m, problem.n)
+    us = [MatrixU(rng.random(shape)) for _ in range(3)]
+    us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)]
+    kernel = CountingKernel(problem, 0, N)
+    cell = WeightedBoxFunction.counting_cell(problem)
+
+    def counts():
+        return [
+            (
+                kernel.block_counts(u),
+                [siegel_transform_box(cell, lattice_from_u(problem, u), s, norm=problem.norm) for s in range(N)],
+            )
+            for u in us
+        ]
+
+    monkeypatch.setattr(counting, "_CHUNK", 10**9)
+    whole = counts()
+    monkeypatch.setattr(counting, "_CHUNK", 7)
+    assert kernel.q_int.shape[1] > 7
+    for (blocks, siegel), (want_blocks, want_siegel) in zip(counts(), whole):
+        assert blocks.dtype == want_blocks.dtype and np.array_equal(blocks, want_blocks)
+        assert siegel == want_siegel
+    assert sum(int(b.sum()) for b, _ in whole) > 0
+
+
+def test_float_path_escalates_almost_never(monkeypatch):
+    # the certified bound is ~6e-10 at N = 12, so a random u almost never
+    # puts a decision inside it; an integer endpoint still escalates
+    # (test_boundary_is_exact_not_float and the dyadic storms)
+    calls = []
+    exact = counting._exact_open_count
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(counting, "_exact_open_count", counted)
+    kernel = CountingKernel(P21, 0, 12)
+    for i in range(10):
+        kernel.block_counts(montecarlo.sample_u_at(12, i, 2, 1))
+    assert len(calls) <= 1
 
 
 def test_exact_open_count_radius_keys():
