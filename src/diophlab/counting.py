@@ -147,14 +147,29 @@ def half_space_grid(n: int, lo: int, hi: int, squared: bool, cap: int) -> tuple[
     if n == 1:
         q = np.arange(lo, hi + 1, dtype=np.int64)
         return q.reshape(1, -1), q
-    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * n
-    grids = np.meshgrid(*axes, indexing="ij")
-    # ravel order is lexicographic, so the points after the origin are
-    # exactly those whose first nonzero coordinate is positive
-    pts = np.stack([g.ravel() for g in grids])[:, points // 2 + 1 :]
-    radii = np.sum(pts * pts, axis=0) if squared else np.max(np.abs(pts), axis=0)
-    keep = (radii >= lo) & (radii <= hi)
-    return pts[:, keep], radii[keep]
+    # the trailing (n-1)-dim box in lexicographic (ravel) order and its radius
+    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * (n - 1)
+    tail = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    part = np.sum(tail * tail, axis=0) if squared else np.max(np.abs(tail), axis=0)
+
+    def slab(lead, tail, part):
+        # window points (l, t), l in lead and t in tail, in row-major order
+        radii = lead[:, None] ** 2 + part if squared else np.maximum(lead[:, None], part)
+        keep = (radii >= lo) & (radii <= hi)
+        rows, cols = np.nonzero(keep)
+        q = np.empty((n, rows.size), dtype=np.int64)
+        q[0] = lead[rows]
+        q[1:] = tail[:, cols]
+        return q, radii[keep]
+
+    # q_1 = 0 keeps the trailing points after the origin (first nonzero
+    # coordinate positive); rows q_1 > 0 go in slabs of about _CHUNK points
+    after = part.size // 2 + 1
+    slabs = [slab(np.zeros(1, dtype=np.int64), tail[:, after:], part[after:])]
+    step = max(1, _CHUNK // part.size)
+    for start in range(1, k_max + 1, step):
+        slabs.append(slab(np.arange(start, min(start + step, k_max + 1), dtype=np.int64), tail, part))
+    return np.concatenate([q for q, _ in slabs], axis=1), np.concatenate([r for _, r in slabs])
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +199,13 @@ def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarr
     """(m, K) interval radii theta_i * ||q||^{-w_i} from the radius keys of K q."""
     norm_f = radii.astype(np.float64)
     if squared_radii(problem):
-        norm_f = np.sqrt(norm_f)
+        np.sqrt(norm_f, out=norm_f)
     w = problem.weights_float()
-    return np.stack([problem.thetas[i] * norm_f ** (-w[i]) for i in range(problem.m)])
+    rho = np.empty((problem.m, norm_f.size))
+    for i in range(problem.m):
+        np.power(norm_f, -w[i], out=rho[i])
+        rho[i] *= problem.thetas[i]  # x * theta == theta * x in floats
+    return rho
 
 
 def _form_counts(t: np.ndarray, rho: np.ndarray, err: float) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +334,8 @@ class CountingKernel:
         lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
         self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared, enumeration_cap())
         bounds = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)])
-        self.block_of = self.s_lo + np.searchsorted(bounds, self.radii, side="right").astype(np.int64)
+        self.block_of = np.searchsorted(bounds, self.radii, side="right")
+        self.block_of += self.s_lo
         self.rho = interval_radii(p, self.radii)
 
     @property

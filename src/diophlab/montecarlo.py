@@ -384,7 +384,10 @@ def run_covariance(config: ExperimentConfig) -> CovarianceResult:
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, N))
     consts = theory.constants(config.problem)
     nsig = THRESHOLDS["cov_nsigma"]
-    theta = {s: _theta_for_lag(config.problem, s) for s in set(lags) | set(range(config.N))}
+    # one Theta_inf per distinct |s|, ascending, so that lags sharing a Pmax
+    # reuse theory's one-entry weight-grid cache
+    distinct = sorted({abs(s) for s in lags} | set(range(config.N)))
+    theta = {a: _theta_for_lag(config.problem, a) for a in distinct}
 
     rows = []
     base = blocks[:, t] - blocks[:, t].mean()
@@ -393,7 +396,7 @@ def run_covariance(config: ExperimentConfig) -> CovarianceResult:
         prods = base * other
         emp = float(prods.mean())
         stderr = float(math.sqrt(max(np.mean((prods - emp) ** 2), 0.0) / config.samples))
-        th = theta[s]
+        th = theta[abs(s)]
         rows.append(
             CovarianceRow(
                 s=s, empirical=emp, stderr=stderr, theory=th, within=abs(emp - th) <= nsig * stderr

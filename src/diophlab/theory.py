@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from diophlab.errors import ValidationError
+from diophlab.counting import enumeration_cap
+from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, mean_constant, omega_n
 
 _BERNOULLI = (
@@ -129,26 +131,47 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     if Pmax < 1:
         raise ValidationError("Pmax must be >= 1")
 
-    def overlap(log_p, log_q):
-        lo = np.maximum(s - log_p, -log_q)
-        hi = np.minimum(s + 1 - log_p, 1 - log_q)
-        return np.clip(hi - lo, 0.0, None)
+    def overlap(log_p, log_q, lo, hi):
+        np.maximum(s - log_p, -log_q, out=lo)
+        np.minimum(s + 1 - log_p, 1 - log_q, out=hi)
+        np.subtract(hi, lo, out=hi)
+        return np.clip(hi, 0.0, None, out=hi)
 
     return _pq_grid_sum(problem, Pmax, overlap)
+
+
+@lru_cache(maxsize=1)
+def _pq_weights(d: int, Pmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """log k for k = 1..Pmax and the (Pmax, Pmax) grid max(p, q)^{-d}, read-only.
+
+    Every lag of one covariance run shares (d, Pmax), so the grid is built
+    once; entry (p, q) is the float k^{-d} at k = max(p, q).
+    """
+    ks = np.arange(1, Pmax + 1, dtype=np.float64)
+    logs = np.log(ks)
+    idx = np.arange(Pmax)
+    weight = (ks ** (-float(d)))[np.maximum.outer(idx, idx)]
+    logs.setflags(write=False)
+    weight.setflags(write=False)
+    return logs, weight
 
 
 def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window) -> float:
     """2 zeta(d)^{-1} C sum_{p,q <= Pmax} max(p,q)^{-d} window(log p, log q).
 
-    ``window`` maps the (Pmax, 1) column of log p and the (1, Pmax) row of
-    log q to the log-radial weight of each (p, q) pair.
+    ``window(log_p, log_q, a, b)`` gets the (Pmax, 1) column of log p, the
+    (1, Pmax) row of log q and two (Pmax, Pmax) scratch buffers, and returns
+    one of the buffers holding the log-radial weight of each (p, q) pair.
+    Raises CapExceededError when the Pmax^2 pairs exceed the enumeration cap.
     """
+    cap = enumeration_cap()
+    if Pmax * Pmax > cap:
+        raise CapExceededError(f"(p, q)-grid of {Pmax * Pmax} pairs > cap {cap} (set DIOPH_CAP to raise)")
     d = problem.m + problem.n
     pref = 2.0 / zeta(float(d)) * mean_constant(problem)
-    logs = np.log(np.arange(1, Pmax + 1, dtype=np.float64))
-    pq = np.arange(1, Pmax + 1, dtype=np.float64)
-    weight = np.maximum(pq[:, None], pq[None, :]) ** (-float(d))
-    return pref * float(np.sum(weight * window(logs[:, None], logs[None, :])))
+    logs, weight = _pq_weights(d, Pmax)
+    out = window(logs[:, None], logs[None, :], np.empty_like(weight), np.empty_like(weight))
+    return pref * float(np.sum(np.multiply(weight, out, out=out)))
 
 
 def theta_infinity_numeric(
@@ -228,10 +251,13 @@ def sigma2_series(problem: ApproximationProblem, S: int, Pmax: int) -> float:
     if d < 3:
         raise ValidationError("sigma2_series needs m + n >= 3")
 
-    def coverage(log_p, log_q):
+    def coverage(log_p, log_q, diff, hi):
         # coverage of [0,1] by the union of windows [s - x, s + 1 - x], |s| <= S
-        diff = log_p - log_q
-        return np.clip(np.minimum(1.0, S + 1 - diff) - np.maximum(0.0, -S - diff), 0.0, 1.0)
+        np.subtract(log_p, log_q, out=diff)
+        np.minimum(np.subtract(S + 1, diff, out=hi), 1.0, out=hi)
+        np.maximum(np.subtract(-S, diff, out=diff), 0.0, out=diff)
+        np.subtract(hi, diff, out=hi)
+        return np.clip(hi, 0.0, 1.0, out=hi)
 
     return _pq_grid_sum(problem, Pmax, coverage)
 

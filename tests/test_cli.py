@@ -136,6 +136,18 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert code == 3
 
 
+def test_theta_grid_cap_exit_code(tmp_path, monkeypatch):
+    # the q-grid of logT 3 fits; the 2000 x 2000 Theta_inf grid does not
+    monkeypatch.setenv("DIOPH_CAP", "10000")
+    argv = [
+        "covariance",
+        "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1",
+        "--logT", "3", "--t-base", "1", "--lags", "0,1", "--samples", "8",
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

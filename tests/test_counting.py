@@ -236,8 +236,12 @@ def test_positive_q_requires_n1():
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("squared", [False, True])
-@pytest.mark.parametrize("lo,hi", [(1, 1), (1, 4), (2, 5), (3, 9), (5, 4)])
-def test_half_space_grid_matches_brute_force(n, squared, lo, hi):
+@pytest.mark.parametrize(
+    "lo,hi", [(1, 1), (1, 4), (2, 5), (3, 9), (5, 4), (0, 2), (4, 4), (2, 2), (3, 3), (24, 25), (18, 18)]
+)
+def test_half_space_grid_matches_brute_force(monkeypatch, n, squared, lo, hi):
+    # the thin squared windows (2, 2), (3, 3), (24, 25) and (18, 18) leave
+    # whole leading rows empty, and (3, 3) empties the n = 2 grid
     k = math.isqrt(hi) if squared else hi
     expected = []
     for q in itertools.product(range(-k, k + 1), repeat=n):
@@ -245,13 +249,33 @@ def test_half_space_grid_matches_brute_force(n, squared, lo, hi):
         lead = next((x for x in q if x != 0), 0)
         if lead > 0 and lo <= radius <= hi:
             expected.append(q)
-    q, radii = half_space_grid(n, lo, hi, squared, cap=10**6)
-    got = [tuple(int(x) for x in col) for col in q.T]
-    assert got == sorted(expected)  # lexicographic order, one of each +/- pair
-    assert not set(got) & {tuple(-x for x in g) for g in got}
-    assert radii.dtype == q.dtype == np.int64
-    for col, r in zip(got, radii):
-        assert r == (sum(x * x for x in col) if squared else max(abs(x) for x in col))
+    # one leading row per slab, several rows per slab, one slab for the box
+    for chunk in (1, 4 * (2 * k + 1), 10**9):
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+        q, radii = half_space_grid(n, lo, hi, squared, cap=10**6)
+        got = [tuple(int(x) for x in col) for col in q.T]
+        assert got == sorted(expected)  # lexicographic order, one of each +/- pair
+        assert not set(got) & {tuple(-x for x in g) for g in got}
+        assert q.shape == (n, len(expected))
+        assert radii.dtype == q.dtype == np.int64
+        for col, r in zip(got, radii):
+            assert r == (sum(x * x for x in col) if squared else max(abs(x) for x in col))
+
+
+def test_kernel_build_peak_memory_near_its_arrays():
+    # the build may not hold the whole (2k+1)^n box or stacked rho temporaries
+    import tracemalloc
+
+    CountingKernel(P22E, 0, 5)  # warm the caches of the radial thresholds
+    tracemalloc.start()
+    try:
+        kernel = CountingKernel(P22E, 0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (kernel.q_int, kernel.radii, kernel.block_of, kernel.rho))
+    assert kernel.q_int.shape[1] > 30_000
+    assert peak <= 1.6 * held
 
 
 def test_half_space_grid_n1_and_cap():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diophlab import theory
 from diophlab.errors import ValidationError
 from diophlab.montecarlo import (
     ExperimentConfig,
@@ -138,6 +139,21 @@ def test_run_covariance_small():
     assert res.var_prediction == pytest.approx(
         sum((10 - abs(s)) / 10 * res_theory for s, res_theory in _theta_terms(10)), rel=1e-6
     )
+
+
+def test_run_covariance_one_theta_per_distinct_lag(monkeypatch):
+    calls = []
+    theta = theory.theta_infinity
+
+    def counted(problem, s, Pmax):
+        calls.append((s, Pmax))
+        return theta(problem, s, Pmax)
+
+    monkeypatch.setattr(theory, "theta_infinity", counted)
+    cfg = ExperimentConfig(problem=P21, N=3, samples=20, seed=5, t_base=2, lags=(-1, 0, 1))
+    res = run_covariance(cfg)
+    assert calls == [(0, 2000), (1, 2000), (2, 2000)]
+    assert res.rows[0].theory == res.rows[2].theory == theta(P21, 1, 2000)
 
 
 def _theta_terms(N):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diophlab.errors import ValidationError
-from diophlab.problem import ApproximationProblem, validate
+from diophlab import theory
+from diophlab.errors import CapExceededError, ValidationError
+from diophlab.problem import ApproximationProblem, mean_constant, validate
 from diophlab.theory import (
     TheoryConstants,
     constants,
@@ -93,6 +94,61 @@ def test_theta_requires_dimension():
     p = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(1.0,)))
     with pytest.raises(ValidationError):
         theta_infinity(p, 0, 100)
+
+
+def _reference_grid_sum(prob, Pmax, window):
+    # the plain whole-grid expression: fresh weight grid, no buffers, no cache
+    d = prob.m + prob.n
+    pref = 2.0 / zeta(float(d)) * mean_constant(prob)
+    logs = np.log(np.arange(1, Pmax + 1, dtype=np.float64))
+    pq = np.arange(1, Pmax + 1, dtype=np.float64)
+    weight = np.maximum(pq[:, None], pq[None, :]) ** (-float(d))
+    return pref * float(np.sum(weight * window(logs[:, None], logs[None, :])))
+
+
+def _reference_theta(prob, s, Pmax):
+    def overlap(log_p, log_q):
+        lo = np.maximum(s - log_p, -log_q)
+        hi = np.minimum(s + 1 - log_p, 1 - log_q)
+        return np.clip(hi - lo, 0.0, None)
+
+    return _reference_grid_sum(prob, Pmax, overlap)
+
+
+def _reference_sigma2(prob, S, Pmax):
+    def coverage(log_p, log_q):
+        diff = log_p - log_q
+        return np.clip(np.minimum(1.0, S + 1 - diff) - np.maximum(0.0, -S - diff), 0.0, 1.0)
+
+    return _reference_grid_sum(prob, Pmax, coverage)
+
+
+def test_cached_grid_sums_equal_the_whole_grid_expression():
+    # Pmax interleaved across d = 3 and 4, so the one-entry cache hits,
+    # misses and evicts; every value must be the same float
+    theory._pq_weights.cache_clear()
+    for Pmax in (7, 600, 1, 2000, 7, 600):
+        for prob in (P21, P22):
+            for s in (-2, 0, 1, 5, 40):
+                assert theta_infinity(prob, s, Pmax) == _reference_theta(prob, s, Pmax)
+            for S in (0, 3, 9):
+                assert sigma2_series(prob, S, Pmax) == _reference_sigma2(prob, S, Pmax)
+    info = theory._pq_weights.cache_info()
+    assert info.hits > 0 and info.misses == 12 and info.currsize == 1
+    logs, weight = theory._pq_weights(4, 600)
+    assert not logs.flags.writeable and not weight.flags.writeable
+    assert weight.shape == (600, 600)
+
+
+def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("DIOPH_CAP", "100")
+    theory._pq_weights.cache_clear()
+    with pytest.raises(CapExceededError):
+        theta_infinity(P22, 1, 11)  # 121 pairs
+    with pytest.raises(CapExceededError):
+        sigma2_series(P21, 2, 11)
+    assert theory._pq_weights.cache_info().misses == 0  # refused before any grid
+    assert theta_infinity(P22, 0, 10) == _reference_theta(P22, 0, 10)
 
 
 def test_max_pq_partial_sum_tail():
