@@ -8,12 +8,10 @@ central limit behaviour of the normalized counts.
 """
 
 from diophlab.problem import (
-    Annulus,
     ApproximationProblem,
     Norm,
     WeightedBoxFunction,
     domain_volume,
-    norm_eval,
     omega_n,
     validate,
 )
@@ -21,12 +19,10 @@ from diophlab.counting import (
     Convention,
     CountResult,
     MatrixU,
-    count_block,
     count_direct,
     normalize_clt,
 )
 from diophlab.lattice import (
-    DiagonalFlow,
     UnimodularLattice,
     alpha,
     apply_flow,
@@ -49,12 +45,10 @@ from diophlab.errors import CapExceededError, ValidationError
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus",
     "ApproximationProblem",
     "CapExceededError",
     "Convention",
     "CountResult",
-    "DiagonalFlow",
     "MatrixU",
     "Norm",
     "TheoryConstants",
@@ -64,13 +58,11 @@ __all__ = [
     "alpha",
     "apply_flow",
     "constants",
-    "count_block",
     "count_direct",
     "divisor_sum_check",
     "domain_volume",
     "lattice_from_u",
     "n_solutions",
-    "norm_eval",
     "normalize_clt",
     "omega_n",
     "overlap_length",

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from diophlab import montecarlo, theory
+from diophlab import lattice, montecarlo, theory
 from diophlab.counting import Convention, MatrixU, count_direct
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.montecarlo import ExperimentConfig
-from diophlab.problem import ApproximationProblem, Norm, validate
+from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction, validate
 
 SCHEMA_VERSION = 1
 
@@ -121,15 +121,22 @@ def parse_args(argv) -> CliConfig:
     ns = parser.parse_args(argv)
     base = {}
     if getattr(ns, "config", None):
-        base = json.loads(Path(ns.config).read_text())
+        try:
+            base = json.loads(Path(ns.config).read_text())
+        except OSError as exc:
+            raise ValidationError(f"cannot read config {ns.config}: {exc}") from exc
     merged = dict(base)
     for key, value in vars(ns).items():
         if key == "config" or value is None:
             continue
         merged[key] = value
-    if merged.get("T") is not None and "logT" not in merged:
-        # experiments work in whole shells; `count` keeps the exact T
-        merged["logT"] = max(1, int(round(math.log(float(merged["T"])))))
+    if merged.get("T") is not None:
+        T = float(merged["T"])
+        if not math.isfinite(T):
+            raise ValidationError("T must be finite")
+        if "logT" not in merged:
+            # experiments work in whole shells; `count` keeps the exact T
+            merged["logT"] = max(1, int(round(math.log(T))))
     for key, conv in (("weights", str), ("thetas", float), ("lags", int), ("L_grid", float), ("n_grid", int)):
         if isinstance(merged.get(key), str):
             merged[key] = _comma_list(merged[key], conv)
@@ -212,7 +219,10 @@ def emit_results(summary: dict, rows, header, out_dir: str, plot_sigma2: float |
 def _cmd_count(cfg: CliConfig) -> int:
     problem = cfg.problem()
     if cfg.u is not None:
-        u = MatrixU(np.array(cfg.u, dtype=float).reshape(problem.m, problem.n))
+        entries = np.array(cfg.u, dtype=float)
+        if entries.size != problem.m * problem.n:
+            raise ValidationError(f"u needs m*n = {problem.m * problem.n} entries, got {entries.size}")
+        u = MatrixU(entries.reshape(problem.m, problem.n))
     else:
         u = montecarlo.sample_u_at(cfg.seed, 0, problem.m, problem.n)
     T = float(cfg.T) if cfg.T is not None else math.e**cfg.logT
@@ -332,47 +342,35 @@ def _cmd_variance(cfg: CliConfig) -> int:
 
 def _selftest_checks(fast: bool) -> list:
     """Run the exact suites; returns (name, passed, detail) triples."""
-    from diophlab import cumulants, lattice, oracles
+    from diophlab import cumulants, oracles  # only the self-test needs them
 
-    checks = []
-    rng = np.random.default_rng(20240817)
+    rng = np.random.default_rng(20240817)  # shared, so the checks run in table order
+    p21 = validate(ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0)))
 
-    # oracle equivalence (direct vs explicit-p brute force; and tessellation)
-    try:
-        ok = True
-        detail = ""
+    def oracle_equivalence():
+        # direct vs explicit-p brute force; and the tessellation
+        ok, detail = True, ""
         for m, n in ((1, 1), (2, 1)):
             w = (Fraction(n),) if m == 1 else (Fraction(n, 2), Fraction(n, 2))
             prob = validate(ApproximationProblem(m=m, n=n, weights=w, thetas=(0.75,) * m))
-            for k in range(3):
+            for _ in range(3):
                 u = MatrixU(rng.random((m, n)))
                 T = float(rng.uniform(15, 120))
                 a = count_direct(prob, u, T).total
                 b = oracles.brute_force_count(prob, u, T)
                 if a != b:
-                    ok = False
-                    detail = f"(m,n)=({m},{n}) T={T}: direct {a} != brute {b}"
-        prob = validate(
-            ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
-        )
+                    ok, detail = False, f"(m,n)=({m},{n}) T={T}: direct {a} != brute {b}"
         u = MatrixU(rng.random((2, 1)))
-        from diophlab.problem import WeightedBoxFunction
-
-        cell = WeightedBoxFunction.counting_cell(prob)
-        lat = lattice.lattice_from_u(prob, u)
-        total = count_direct(prob, u, math.e**4).total
+        cell = WeightedBoxFunction.counting_cell(p21)
+        lat = lattice.lattice_from_u(p21, u)
+        total = count_direct(p21, u, math.e**4).total
         pieces = sum(lattice.siegel_transform_box(cell, lat, s) for s in range(4))
         if total != pieces:
-            ok = False
-            detail = f"tessellation: {total} != {pieces}"
-        checks.append(("oracle-equivalence", ok, detail))
-    except Exception as exc:  # pragma: no cover - defensive
-        checks.append(("oracle-equivalence", False, repr(exc)))
+            ok, detail = False, f"tessellation: {total} != {pieces}"
+        return ok, detail
 
-    # conditional cumulant vanishing, exact
-    try:
-        ok = True
-        detail = ""
+    def cumulant_vanishing():
+        ok, detail = True, ""
         for trial in range(10):
             dist = _random_rational_distribution(rng, n_points=3, n_obs=4)
             for r in (2, 3, 4):
@@ -382,70 +380,56 @@ def _selftest_checks(fast: bool) -> list:
                         continue
                     val = cumulants.conditional_cumulant(dist, obs, Q)
                     if val != 0:
-                        ok = False
-                        detail = f"trial {trial} r={r} Q={Q.blocks}: {val}"
-        checks.append(("conditional-cumulant-vanishing", ok, detail))
-    except Exception as exc:  # pragma: no cover
-        checks.append(("conditional-cumulant-vanishing", False, repr(exc)))
+                        ok, detail = False, f"trial {trial} r={r} Q={Q.blocks}: {val}"
+        return ok, detail
 
-    # covering of tuple space
-    try:
-        ok = True
-        detail = ""
+    def covering():
+        ok, detail = True, ""
         ladder = cumulants.LadderParams(gamma=1.5, r=2)
         for s1 in range(25):
             for s2 in range(25):
                 label = cumulants.classify_tuple((s1, s2), ladder)
                 if not cumulants.piece_contains((0.0, float(s1), float(s2)), label, ladder):
-                    ok = False
-                    detail = f"tuple ({s1},{s2})"
-        checks.append(("decomposition-covering", ok, detail))
-    except Exception as exc:  # pragma: no cover
-        checks.append(("decomposition-covering", False, repr(exc)))
+                    ok, detail = False, f"tuple ({s1},{s2})"
+        return ok, detail
 
-    # divisor-sum lemma, exact
-    try:
-        ok = True
-        detail = ""
+    def divisor_sum():
+        ok, detail = True, ""
         for q in range(1, 81):
             for ell in range(1, q + 1):
                 for P in (q, 2 * q):
                     if theory.n_solutions(q, ell, P) != theory.n_solutions_brute(q, ell, P):
-                        ok = False
-                        detail = f"q={q} ell={ell} P={P}"
-        if theory.inner_divisor_sum(12, 1, 12) != sum(
-            theory.n_solutions_brute(12, e, 12) for e in range(1, 13)
-        ):
-            ok = False
-            detail = "inner sum at q=12"
-        checks.append(("divisor-sum", ok, detail))
-    except Exception as exc:  # pragma: no cover
-        checks.append(("divisor-sum", False, repr(exc)))
+                        ok, detail = False, f"q={q} ell={ell} P={P}"
+        if theory.inner_divisor_sum(12, 1, 12) != sum(theory.n_solutions_brute(12, e, 12) for e in range(1, 13)):
+            ok, detail = False, "inner sum at q=12"
+        return ok, detail
 
-    # sigma2 identity (sum of Theta over lags reproduces the variance constant)
-    try:
-        prob = validate(
-            ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
-        )
-        sigma2 = theory.constants(prob).sigma2
-        series = theory.sigma2_series(prob, S=9, Pmax=800)
-        ok = abs(series - sigma2) <= 5e-3 * sigma2
-        checks.append(("sigma2-identity", ok, f"series={series:.6f} sigma2={sigma2:.6f}"))
-    except Exception as exc:  # pragma: no cover
-        checks.append(("sigma2-identity", False, repr(exc)))
+    def sigma2_identity():
+        # the sum of Theta over lags reproduces the variance constant
+        sigma2 = theory.constants(p21).sigma2
+        series = theory.sigma2_series(p21, S=9, Pmax=800)
+        return abs(series - sigma2) <= 5e-3 * sigma2, f"series={series:.6f} sigma2={sigma2:.6f}"
 
+    def siegel_mean():
+        r = montecarlo.run_siegel_mean(ExperimentConfig(problem=p21, samples=400, seed=7), s_list=(4,))[0]
+        return abs(r.mean - r.theory) <= 5 * max(r.stderr, 1e-9), f"mean={r.mean:.3f} theory={r.theory:.3f}"
+
+    table = [
+        ("oracle-equivalence", oracle_equivalence),
+        ("conditional-cumulant-vanishing", cumulant_vanishing),
+        ("decomposition-covering", covering),
+        ("divisor-sum", divisor_sum),
+        ("sigma2-identity", sigma2_identity),
+    ]
     if not fast:
+        table.append(("siegel-mean-smoke", siegel_mean))
+    checks = []
+    for name, check in table:
         try:
-            prob = validate(
-                ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
-            )
-            cfg = ExperimentConfig(problem=prob, samples=400, seed=7)
-            rows = montecarlo.run_siegel_mean(cfg, s_list=(4,))
-            r = rows[0]
-            ok = abs(r.mean - r.theory) <= 5 * max(r.stderr, 1e-9)
-            checks.append(("siegel-mean-smoke", ok, f"mean={r.mean:.3f} theory={r.theory:.3f}"))
-        except Exception as exc:  # pragma: no cover
-            checks.append(("siegel-mean-smoke", False, repr(exc)))
+            ok, detail = check()
+        except Exception as exc:  # pragma: no cover - defensive
+            ok, detail = False, repr(exc)
+        checks.append((name, ok, detail))
     return checks
 
 

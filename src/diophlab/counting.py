@@ -71,7 +71,7 @@ class MatrixU:
         arr = np.array(self.entries, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValidationError("u must be a 2-d matrix")
-        if np.any(arr < 0) or np.any(arr >= 1):
+        if not np.all((arr >= 0) & (arr < 1)):
             raise ValidationError("entries of u must lie in [0, 1)")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -377,8 +377,8 @@ class CountingKernel:
 
 
 def _blocks_needed_for(T: float) -> int:
-    if not T > 1:
-        raise ValidationError("count_direct needs T > 1")
+    if not 1 < T < math.inf:
+        raise ValidationError("count_direct needs finite T > 1")
     n = max(1, int(math.ceil(math.log(T))))
     while _ceil_exp(n) - 1 < _sup_radius_below(T):
         n += 1
@@ -403,19 +403,6 @@ def count_direct(
     return CountResult(
         total=total, per_block=tuple(int(b) for b in blocks), T=float(T), convention=convention
     )
-
-
-def count_block(
-    problem: ApproximationProblem,
-    u: MatrixU,
-    s: int,
-    convention: Convention = Convention.BOTH_SIGNS,
-) -> int:
-    """Count restricted to the shell e^s <= ||q|| < e^{s+1}."""
-    if s < 0:
-        raise ValidationError("block index s must be >= 0")
-    kernel = CountingKernel(problem, s, s + 1)
-    return int(kernel.block_counts(u, convention)[0])
 
 
 def normalize_clt(count: int, T: float, C: float) -> float:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from diophlab.errors import ValidationError
 
 MAX_PARTITION_GROUND = 10
@@ -182,25 +180,6 @@ def conditional_cumulant(dist: FiniteDistribution, observables, Q: SetPartition)
                 term *= moments[bset & jb]
         total += term
     return total
-
-
-def empirical_cumulant(samples, r: int) -> float:
-    """Plug-in cumulant of order r in {2, 3, 4} from central moments.
-
-    Biased at O(1/S); fine for the sample sizes used here (S >= 10^3).
-    """
-    if r not in (2, 3, 4):
-        raise ValidationError("empirical cumulants implemented for r in {2, 3, 4}")
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 10:
-        raise ValidationError("need at least 10 samples")
-    centered = arr - arr.mean()
-    if r == 2:
-        return float(np.mean(centered**2))
-    if r == 3:
-        return float(np.mean(centered**3))
-    m2 = float(np.mean(centered**2))
-    return float(np.mean(centered**4)) - 3.0 * m2 * m2
 
 
 def separation_D(times) -> float:

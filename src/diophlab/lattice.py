@@ -57,30 +57,6 @@ class UnimodularLattice:
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    def to_json(self) -> list:
-        return [list(map(float, row)) for row in self.basis]
-
-
-@dataclass(frozen=True)
-class DiagonalFlow:
-    """Exponent data of a = diag(e^{w_1},...,e^{w_m}, e^{-1},...,e^{-1})."""
-
-    exponents: tuple
-    s: int = 1
-
-    def __post_init__(self):
-        exps = tuple(Fraction(e) for e in self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if sum(exps, Fraction(0)) != 0:
-            raise ValidationError("flow exponents must sum to zero (unimodularity)")
-
-    @staticmethod
-    def from_problem(problem: ApproximationProblem, s: int = 1) -> "DiagonalFlow":
-        return DiagonalFlow(tuple(problem.weights) + (Fraction(-1),) * problem.n, s=s)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag([math.exp(float(e) * self.s) for e in self.exponents])
-
 
 def lattice_from_u(problem: ApproximationProblem, u: MatrixU) -> UnimodularLattice:
     """The lattice {(p + u q, q) : p in Z^m, q in Z^n} with basis [[I, u], [0, I]]."""
@@ -98,8 +74,8 @@ def apply_flow(lat: UnimodularLattice, s: int, problem: ApproximationProblem) ->
     ``problem`` supplies the flow exponents (w_1, ..., w_m, -1, ..., -1);
     negative s runs the flow backwards.
     """
-    flow = DiagonalFlow.from_problem(problem, s=s)
-    new_basis = flow.matrix() @ lat.basis
+    flow = np.diag([math.exp(float(w) * s) for w in problem.weights] + [math.exp(-s)] * problem.n)
+    new_basis = flow @ lat.basis
     prov = None
     if lat.provenance is not None:
         u, s0 = lat.provenance

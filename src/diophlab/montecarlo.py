@@ -26,8 +26,6 @@ THRESHOLDS = {
     "lln_band": 1.0,
     "clt_var_rel": 0.25,
     "clt_ks": 0.07,
-    "clt_cum3_factor": 0.5,
-    "clt_cum4_factor": 0.5,
     "cov_nsigma": 4.0,
     "tail_factor": 4.0,
     "tail_exponent": 2.0,
@@ -62,8 +60,10 @@ class ExperimentConfig:
             raise ValidationError("lags needs at least one entry")
         if self.t_base < 0 or self.t_base + min(self.lags) < 0:
             raise ValidationError("need t_base >= 0 and t_base + min(lags) >= 0")
-        if not self.L_grid or min(self.L_grid) < 1:
-            raise ValidationError("L_grid needs at least one entry, all >= 1")
+        if not self.L_grid or not all(1 <= L < math.inf for L in self.L_grid):
+            raise ValidationError("L_grid needs at least one entry, all >= 1 and finite")
+        if not math.isfinite(self.kappa):
+            raise ValidationError("kappa must be finite")
 
 
 @dataclass(frozen=True)
@@ -122,22 +122,15 @@ def normal_cdf(x: float, variance: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0 * variance))
 
 
-def ks_statistic(samples, cdf, continuous: bool = True) -> float:
-    """Exact sup-gap between the ECDF and ``cdf`` at the sample points.
-
-    Both one-sided gaps are taken for a continuous target; with
-    ``continuous=False`` the target is a step function evaluated
-    right-continuously like the ECDF itself, so only matched values are
-    compared (the ECDF against its own step function gives gap 0).
-    """
+def ks_statistic(samples, cdf) -> float:
+    """Exact sup-gap between the ECDF and the continuous ``cdf``, both
+    one-sided gaps taken at the sample points."""
     arr = np.sort(np.asarray(samples, dtype=np.float64))
     n = arr.size
     if n == 0:
         raise ValidationError("ks_statistic needs samples")
     F = np.array([cdf(x) for x in arr])
     d_plus = float(np.max(np.arange(1, n + 1) / n - F))
-    if not continuous:
-        return max(d_plus, float(np.max(F - np.arange(1, n + 1) / n)), 0.0)
     d_minus = float(np.max(F - np.arange(0, n) / n))
     return max(d_plus, d_minus, 0.0)
 

@@ -16,12 +16,10 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from diophlab.errors import ValidationError
 
@@ -72,30 +70,6 @@ class ApproximationProblem:
     def weights_float(self):
         return tuple(float(w) for w in self.weights)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "n": self.n,
-                "weights": [f"{w.numerator}/{w.denominator}" for w in self.weights],
-                "thetas": list(self.thetas),
-                "norm": self.norm.value,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ApproximationProblem":
-        obj = json.loads(text)
-        return validate(
-            ApproximationProblem(
-                m=int(obj["m"]),
-                n=int(obj["n"]),
-                weights=tuple(Fraction(w) for w in obj["weights"]),
-                thetas=tuple(float(t) for t in obj["thetas"]),
-                norm=Norm(obj["norm"]),
-            )
-        )
-
 
 def validate(problem: ApproximationProblem) -> ApproximationProblem:
     """Return ``problem`` unchanged iff every invariant holds.
@@ -112,53 +86,14 @@ def validate(problem: ApproximationProblem) -> ApproximationProblem:
         raise ValidationError(f"expected {problem.m} thetas, got {len(problem.thetas)}")
     if any(w <= 0 for w in problem.weights):
         raise ValidationError("all weights must be > 0")
-    if any(t <= 0 for t in problem.thetas):
-        raise ValidationError("all thetas must be > 0")
+    if not all(0 < t < math.inf for t in problem.thetas):
+        raise ValidationError("all thetas must be > 0 and finite")
     total = sum(problem.weights, Fraction(0))
     if total != problem.n:
         raise ValidationError(
             f"weight sum {total} != n = {problem.n} (checked in exact rational arithmetic)"
         )
     return problem
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """Radial shell {y : t_low <= ||y|| < t_high} (half-open by convention).
-
-    ``log_low``/``log_high`` optionally carry exact (rational) logarithms of
-    the bounds, so log-lengths of adjacent shells add without rounding.
-    """
-
-    t_low: float
-    t_high: float
-    log_low: Fraction | None = field(default=None, compare=False)
-    log_high: Fraction | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.t_low < 0:
-            raise ValidationError("annulus needs t_low >= 0")
-        if not self.t_high > self.t_low:
-            raise ValidationError("annulus needs t_high > t_low")
-
-    @staticmethod
-    def from_exponents(s_low, s_high) -> "Annulus":
-        """Shell e^{s_low} <= ||y|| < e^{s_high} with exact log bounds."""
-        lo = Fraction(s_low)
-        hi = Fraction(s_high)
-        return Annulus(math.exp(float(lo)), math.exp(float(hi)), lo, hi)
-
-    def log_length(self) -> float:
-        if self.log_low is not None and self.log_high is not None:
-            return float(self.log_high - self.log_low)
-        if self.t_low == 0:
-            raise ValidationError("log-length undefined for t_low = 0")
-        return math.log(self.t_high) - math.log(self.t_low)
-
-    def log_length_exact(self) -> Fraction:
-        if self.log_low is None or self.log_high is None:
-            raise ValidationError("annulus was not built from exact exponents")
-        return self.log_high - self.log_low
 
 
 @dataclass(frozen=True)
@@ -197,17 +132,6 @@ class WeightedBoxFunction:
         )
 
 
-def norm_eval(v: Sequence[float], norm: Norm) -> float:
-    """||v|| for the supported norms; accepts integer or real vectors."""
-    if isinstance(norm, str):
-        norm = Norm(norm)
-    if norm is Norm.SUP:
-        return max(abs(float(x)) for x in v) if len(v) else 0.0
-    if norm is Norm.EUCLIDEAN:
-        return math.sqrt(sum(float(x) * float(x) for x in v))
-    raise ValidationError(f"unsupported norm {norm}")
-
-
 def unit_ball_volume(norm: Norm, n: int) -> float:
     """Volume of {||y|| <= 1} by recursive one-dimensional slice quadrature.
 
@@ -238,22 +162,17 @@ def unit_ball_volume(norm: Norm, n: int) -> float:
     raise ValidationError(f"unsupported norm {norm}")
 
 
-def omega_n(norm: Norm, n: int, method: str = "closed") -> float:
+def omega_n(norm: Norm, n: int) -> float:
     """The constant such that integral of ||y||^{-n} over {a <= ||y|| < b} is
     omega_n * log(b/a).
 
     Equivalently the integral of ||z||^{-n} over the Euclidean unit sphere
-    (counting measure of mass 2 for n = 1).  ``method="quadrature"`` computes
-    n * vol{||y|| <= 1} by slice quadrature instead of the closed form.
+    (counting measure of mass 2 for n = 1), i.e. n * vol{||y|| <= 1}.
     """
     if isinstance(norm, str):
         norm = Norm(norm)
     if n < 1:
         raise ValidationError("omega_n needs n >= 1")
-    if method == "quadrature":
-        return n * unit_ball_volume(norm, n)
-    if method != "closed":
-        raise ValidationError(f"unknown omega_n method {method!r}")
     if norm is Norm.SUP:
         return float(n * 2**n)
     if norm is Norm.EUCLIDEAN:
@@ -276,14 +195,3 @@ def domain_volume(problem: ApproximationProblem, T: float) -> float:
             return 0.0
         raise ValidationError("domain_volume needs T >= 1")
     return mean_constant(problem) * math.log(T)
-
-
-def domain_volume_annulus(problem: ApproximationProblem, annulus: Annulus) -> float:
-    """Volume of the same box family restricted to a radial shell."""
-    if annulus.t_low <= 0:
-        raise ValidationError("annulus must avoid ||y|| = 0")
-    if annulus.log_low is not None and annulus.log_high is not None:
-        return mean_constant(problem) * float(annulus.log_length_exact())
-    return mean_constant(problem) * annulus.log_length()
-
-

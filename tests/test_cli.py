@@ -165,6 +165,28 @@ def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--thetas", "nan,1", "--logT", "3"],
+        ["count", "--thetas", "inf,1", "--logT", "3"],
+        ["variance", "--thetas", "nan,1"],
+        ["count", "--T", "inf"],
+        ["alpha-tail", "--kappa", "nan"],
+        ["count", "--logT", "3", "--u", "0.5"],
+        ["count", "--config", "{tmp}/missing.json"],
+        ["count", "--config", "{tmp}"],
+    ],
+)
+def test_bad_number_u_or_config_is_usage_error(tmp_path, argv):
+    # the case's flags come last, so they override the problem's
+    problem = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "5"]
+    case = [a.format(tmp=tmp_path) for a in argv[1:]]
+    out = tmp_path / "out"
+    assert main(argv[:1] + problem + case + ["--out-dir", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])
 def test_bad_cap_is_usage_error(tmp_path, monkeypatch, cap):
     monkeypatch.setenv("DIOPH_CAP", cap)

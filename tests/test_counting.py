@@ -11,7 +11,6 @@ from diophlab.counting import (
     CountingKernel,
     MatrixU,
     _exact_open_count,
-    count_block,
     count_direct,
     half_space_grid,
     normalize_clt,
@@ -34,9 +33,9 @@ def test_count_direct_trivial_u0():
 
 
 def test_count_blocks_u0():
-    assert count_block(P11, U0, 0) == 4
+    assert CountingKernel(P11, 0, 1).block_counts(U0)[0] == 4
     # q with e <= |q| < e^2 is {3,...,7}: confirmed by the explicit-p oracle
-    assert count_block(P11, U0, 1) == 10
+    assert CountingKernel(P11, 1, 2).block_counts(U0)[0] == 10
     assert brute_force_block(P11, U0, 1) == 10
 
 
@@ -55,7 +54,7 @@ def test_block_additivity_exact():
         res = count_direct(P21, u, math.e**N)
         assert len(res.per_block) == N
         assert res.total == sum(res.per_block)
-        assert res.per_block == tuple(count_block(P21, u, s) for s in range(N))
+        assert res.per_block == tuple(CountingKernel(P21, s, s + 1).block_counts(u)[0] for s in range(N))
 
 
 def test_sign_symmetry_exact():
@@ -217,7 +216,7 @@ def test_block_oracle_euclidean():
     for _ in range(2):
         u = MatrixU(rng.random((2, 2)))
         for s in (0, 1, 2):
-            assert count_block(p22, u, s) == brute_force_block(p22, u, s)
+            assert CountingKernel(p22, s, s + 1).block_counts(u)[0] == brute_force_block(p22, u, s)
 
 
 def test_count_up_to_matches_direct_inside_kernel():
@@ -300,7 +299,12 @@ def test_matrix_u_validation():
     with pytest.raises(ValidationError):
         MatrixU(np.array([[-0.1]]))
     with pytest.raises(ValidationError):
+        MatrixU(np.array([[math.nan]]))
+    with pytest.raises(ValidationError):
         count_direct(P21, MatrixU(np.zeros((1, 1))), 10.0)  # wrong shape
+    for T in (1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite T > 1"):
+            count_direct(P21, MatrixU(np.zeros((2, 1))), T)
 
 
 def test_normalize_clt():

@@ -10,7 +10,6 @@ from diophlab.cumulants import (
     bell_number,
     classify_tuple,
     conditional_cumulant,
-    empirical_cumulant,
     joint_cumulant,
     piece_contains,
     rho_inf,
@@ -131,22 +130,6 @@ def test_conditional_cumulant_trivial_partition_is_joint():
         obs = list(range(r))
         Q = SetPartition((tuple(range(1, r + 1)),))
         assert conditional_cumulant(dist, obs, Q) == joint_cumulant(dist, obs)
-
-
-def test_empirical_cumulants():
-    assert empirical_cumulant([5.0] * 100, 2) == 0.0
-    assert empirical_cumulant([5.0] * 100, 3) == 0.0
-    assert empirical_cumulant([5.0] * 100, 4) == 0.0
-    balanced = [0.0, 1.0] * 500
-    assert empirical_cumulant(balanced, 2) == pytest.approx(0.25, rel=1e-12)
-    rng = np.random.default_rng(99)
-    normal = rng.normal(size=10**5)
-    assert abs(empirical_cumulant(normal, 3)) <= 0.05
-    assert abs(empirical_cumulant(normal, 4)) <= 0.1
-    with pytest.raises(ValidationError):
-        empirical_cumulant([1.0, 2.0], 2)
-    with pytest.raises(ValidationError):
-        empirical_cumulant([1.0] * 100, 5)
 
 
 def test_separation_D():

@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diophlab.counting import MatrixU, count_block
+from diophlab.counting import CountingKernel, MatrixU
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import (
-    DiagonalFlow,
     UnimodularLattice,
     _fincke_pohst,
     _lll_reduce,
@@ -42,13 +41,13 @@ def test_unimodular_validation():
 
 
 def test_flow_exponents_and_group_law():
-    flow = DiagonalFlow.from_problem(P21)
-    assert sum(flow.exponents, Fraction(0)) == 0
-    with pytest.raises(ValidationError):
-        DiagonalFlow((Fraction(1), Fraction(1)))
-
     rng = np.random.default_rng(2)
     lat = lattice_from_u(P21, MatrixU(rng.random((2, 1))))
+    # exponents that do not sum to zero leave the determinant check to refuse the flow
+    unbalanced = ApproximationProblem(m=2, n=1, weights=(1, 1), thetas=(1.0, 1.0))
+    with pytest.raises(ValidationError, match="determinant"):
+        apply_flow(lat, 1, unbalanced)
+
     assert np.array_equal(apply_flow(lat, 0, P21).basis, lat.basis)
     back = apply_flow(apply_flow(lat, 2, P21), -2, P21)
     assert np.max(np.abs(back.basis - lat.basis)) < 1e-12
@@ -82,7 +81,7 @@ def test_tessellation_identity_n1():
         u = MatrixU(rng.random((2, 1)))
         lat = lattice_from_u(P21, u)
         for s in range(7):
-            assert siegel_transform_box(cell, lat, s) == count_block(P21, u, s)
+            assert siegel_transform_box(cell, lat, s) == CountingKernel(P21, s, s + 1).block_counts(u)[0]
 
 
 @pytest.mark.parametrize(
@@ -102,7 +101,7 @@ def test_tessellation_identity_n2(prob):
         lat = lattice_from_u(prob, u)
         for s in range(4):
             got = siegel_transform_box(cell, lat, s, norm=prob.norm)
-            assert got == count_block(prob, u, s)
+            assert got == CountingKernel(prob, s, s + 1).block_counts(u)[0]
 
 
 def _points_oracle(box, lat):

@@ -82,7 +82,8 @@ def test_ks_statistic_against_own_steps():
     def ecdf(x):
         return sum(1 for s in samples if s <= x) / len(samples)
 
-    assert ks_statistic(samples, ecdf, continuous=False) == 0.0
+    # the target is read as continuous: the left limit at each jump leaves 1/n
+    assert ks_statistic(samples, ecdf) == 0.25
     with pytest.raises(ValidationError):
         ks_statistic([], ecdf)
 
@@ -92,6 +93,10 @@ def test_summarize_degenerate():
     assert verdict == "degenerate"
     assert stats.variance == 0.0
     assert stats.ks_distance == pytest.approx(0.5, abs=1e-12)
+    # plug-in central moments: constants give 0, the balanced 0/1 sample var 1/4, cum4 -1/8
+    for sample, moments in (([5.0] * 100, (0.0, 0.0, 0.0)), ([0.0, 1.0] * 500, (0.25, 0.0, -0.125))):
+        stats, _ = summarize(sample, sigma2=None)
+        assert (stats.variance, stats.cum3, stats.cum4) == moments
 
 
 def test_wilson_interval():
@@ -192,6 +197,10 @@ def test_experiment_config_validation():
         {"t_base": 2, "lags": (0, -3)},
         {"L_grid": ()},
         {"L_grid": (2.0, 0.5)},
+        {"L_grid": (2.0, math.nan)},
+        {"L_grid": (math.inf,)},
+        {"kappa": math.nan},
+        {"kappa": math.inf},
     ):
         with pytest.raises(ValidationError):
             ExperimentConfig(problem=P21, **bad)
