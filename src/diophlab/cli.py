@@ -125,6 +125,8 @@ def parse_args(argv) -> CliConfig:
             base = json.loads(Path(ns.config).read_text())
         except OSError as exc:
             raise ValidationError(f"cannot read config {ns.config}: {exc}") from exc
+        if not isinstance(base, dict):
+            raise ValidationError(f"config {ns.config} must hold a JSON object, got {type(base).__name__}")
     merged = dict(base)
     for key, value in vars(ns).items():
         if key == "config" or value is None:
@@ -225,7 +227,10 @@ def _cmd_count(cfg: CliConfig) -> int:
         u = MatrixU(entries.reshape(problem.m, problem.n))
     else:
         u = montecarlo.sample_u_at(cfg.seed, 0, problem.m, problem.n)
-    T = float(cfg.T) if cfg.T is not None else math.e**cfg.logT
+    try:
+        T = float(cfg.T) if cfg.T is not None else math.e**cfg.logT
+    except OverflowError as exc:
+        raise CapExceededError(f"T = e^{cfg.logT} overflows a float") from exc
     res = count_direct(problem, u, T, Convention(cfg.convention))
     record = {
         "T": res.T,

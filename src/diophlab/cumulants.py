@@ -15,7 +15,7 @@ thresholds with identical clustering graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -46,12 +46,6 @@ class SetPartition:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, x) -> tuple:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
 
 
 def _partitions_of(items: tuple):
@@ -117,10 +111,6 @@ class FiniteDistribution:
             raise ValidationError("value rows have inconsistent width")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def n_observables(self) -> int:
-        return len(self.values[0]) if self.values else 0
 
     def moment(self, indices) -> Fraction:
         """E[prod_{i in indices} phi_i], exact; empty product gives 1."""
@@ -198,30 +188,23 @@ def separation_D(times) -> float:
 # ---------------------------------------------------------------------------
 # ladders and the covering of tuple space
 
-def default_beta_recursion(beta: float, gamma: float, r: int) -> float:
-    return (3 + r) * beta + gamma
-
-
 @dataclass(frozen=True)
 class LadderParams:
     """Threshold chain 0 = alpha_0 < beta_1 < alpha_1 < beta_2 < ... with
-    alpha_j = (3 + r) beta_j; beta_1 = gamma and the next beta comes from a
-    caller-replaceable recursion (default beta_{j+1} = (3+r) beta_j + gamma).
+    alpha_j = (3 + r) beta_j; beta_1 = gamma and beta_{j+1} = (3 + r) beta_j + gamma.
     """
 
     gamma: float
     r: int
-    beta_recursion: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValidationError("gamma must be > 0")
         if self.r < 1:
             raise ValidationError("r must be >= 1")
-        rec = self.beta_recursion or default_beta_recursion
         betas = [float(self.gamma)]
         for _ in range(self.r + 1):
-            betas.append(float(rec(betas[-1], self.gamma, self.r)))
+            betas.append(float((3 + self.r) * betas[-1] + self.gamma))
         alphas = [0.0] + [(3 + self.r) * b for b in betas]
         object.__setattr__(self, "betas", tuple(betas))  # beta_1 .. beta_{r+2}
         object.__setattr__(self, "alphas", tuple(alphas))  # alpha_0 .. alpha_{r+2}

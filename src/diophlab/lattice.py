@@ -8,11 +8,9 @@ orthogonal to D have the same covolume, so for d <= 5 every rank reduces
 to rank 1 or 2 on L or on L*.  Both bases are LLL-reduced, the dual one
 formed from the reduced basis of L.  Rank 1 is lambda_1, found by
 enumerating up to the shortest reduced column.  Rank 2 is certified by
-short-vector enumeration: a rank-2 lattice has a basis attaining its
-minima mu_1 <= mu_2, with mu_1 >= lambda_1 and mu_1 mu_2 <= (4 / pi) covol,
-so the optimal pair lies within (4 / pi) * best / lambda_1; the radius is
-re-checked after each scan and enlarged until certified.  Covolumes are
-Euclidean regardless of the problem's counting norm.
+one short-vector enumeration at the radius (4 / pi) * best / lambda_1,
+best being the least covolume of two reduced columns (see _min_covolume).
+Covolumes are Euclidean regardless of the problem's counting norm.
 """
 
 from __future__ import annotations
@@ -176,41 +174,38 @@ def siegel_transform_points(box, lat: UnimodularLattice) -> int:
 # ---------------------------------------------------------------------------
 # alpha
 
-def _lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
-    """Textbook LLL on the columns; returns a reduced basis of the same lattice."""
-    b = [basis[:, i].astype(np.float64).copy() for i in range(basis.shape[1])]
-    d = len(b)
+_LLL_DELTA = 0.75
+_LLL_MAX_STEPS = 10_000
 
-    def gram_schmidt():
-        ortho, mu = [], np.zeros((d, d))
-        for i in range(d):
-            v = b[i].copy()
-            for j in range(i):
-                denom = ortho[j] @ ortho[j]
-                mu[i, j] = (b[i] @ ortho[j]) / denom
-                v -= mu[i, j] * ortho[j]
-            ortho.append(v)
-        return ortho, mu
 
-    ortho, mu = gram_schmidt()
-    k = 1
-    guard = 0
+def _lll_reduce(basis: np.ndarray) -> np.ndarray:
+    """LLL with delta = 3/4 on the columns; returns a reduced basis of the same lattice.
+
+    Carries the triangular factor r of b = QR, so mu_kj = r_jk / r_jj and
+    |b*_j|^2 = r_jj^2.  Size reduction subtracts the same column multiple
+    from b and r (exact algebra); only a swap refactors.  A basis that does
+    not reduce within ``_LLL_MAX_STEPS`` steps raises CapExceededError.
+    """
+    b = basis.astype(np.float64, copy=True)
+    d = b.shape[1]
+    r = np.linalg.qr(b, mode="r")
+    k, steps = 1, 0
     while k < d:
-        guard += 1
-        if guard > 10_000:  # numerically degenerate input
-            break
+        steps += 1
+        if steps > _LLL_MAX_STEPS:
+            raise CapExceededError(f"LLL did not finish in {_LLL_MAX_STEPS} steps (numerically degenerate basis)")
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(r[j, k] / r[j, j])
             if q != 0:
-                b[k] = b[k] - q * b[j]
-                ortho, mu = gram_schmidt()
-        if ortho[k] @ ortho[k] >= (delta - mu[k, k - 1] ** 2) * (ortho[k - 1] @ ortho[k - 1]):
+                b[:, k] -= q * b[:, j]
+                r[:, k] -= q * r[:, j]
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= _LLL_DELTA * r[k - 1, k - 1] ** 2:
             k += 1
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            ortho, mu = gram_schmidt()
+            b[:, [k - 1, k]] = b[:, [k, k - 1]]
+            r = np.linalg.qr(b, mode="r")
             k = max(k - 1, 1)
-    return np.stack(b, axis=1)
+    return b
 
 
 def _fincke_pohst(basis: np.ndarray, radius: float, cap: int):
@@ -264,41 +259,31 @@ def _fincke_pohst(basis: np.ndarray, radius: float, cap: int):
     return np.array(found, dtype=np.int64)
 
 
-def _independent(x, y) -> bool:
-    """Whether two integer vectors are linearly independent (a 2x2 minor is nonzero)."""
-    x, y = [int(v) for v in x], [int(v) for v in y]
-    return any(x[i] * y[k] != x[k] * y[i] for i in range(len(x)) for k in range(i))
-
-
 # lambda_1 lambda_2 <= (4 / pi) covol for a rank-2 lattice (Minkowski's second theorem)
 _RANK2_FACTOR = 4.0 / math.pi
 _ALPHA_CAP = 2_000_000  # Fincke-Pohst node budget per enumeration
 
 
 def _scan_min_covolume(vecs: np.ndarray, coords: np.ndarray, norms: np.ndarray, best: float, bound: float) -> float:
-    """Minimum sqrt(Gram det) over independent pairs whose norm product can beat ``bound``."""
+    """Minimum sqrt(Gram det) over independent pairs whose norm product can beat ``bound``.
+
+    Independence is exact: some 2x2 minor of the integer coordinates is nonzero.
+    """
     order = np.argsort(norms)
     vecs, coords, norms = vecs[order], coords[order], norms[order]
+    rows, cols = np.triu_indices(coords.shape[1], 1)
     for a in range(len(norms) - 1):
         na = norms[a]
         if na * na > bound * (1 + 1e-12):
             break
-        limit = bound / na
-        hi = np.searchsorted(norms, limit * (1 + 1e-12), side="right")
+        hi = np.searchsorted(norms, bound / na * (1 + 1e-12), side="right")
         if hi <= a + 1:
             continue
-        w = vecs[a + 1 : hi]
-        nw = norms[a + 1 : hi]
-        dots = w @ vecs[a]
-        g = (na * nw) ** 2 - dots**2
-        scale = (na * nw) ** 2
-        cand = g > 1e-9 * scale
-        fuzzy = np.nonzero((g <= 1e-9 * scale) & (g > -1e-9 * scale))[0]
-        for idx in fuzzy:
-            if _independent(coords[a], coords[a + 1 + idx]):
-                cand[idx] = True
-        if np.any(cand):
-            local = math.sqrt(max(float(np.min(g[cand])), 0.0))
+        x, y = coords[a], coords[a + 1 : hi]
+        independent = np.any(x[rows] * y[:, cols] != x[cols] * y[:, rows], axis=1)
+        if np.any(independent):
+            g = (na * norms[a + 1 : hi]) ** 2 - (vecs[a + 1 : hi] @ vecs[a]) ** 2
+            local = math.sqrt(max(float(np.min(g[independent])), 0.0))
             if local < best:
                 best = local
                 bound = min(bound, _RANK2_FACTOR * best)
@@ -313,31 +298,21 @@ def _shortest_length(basis: np.ndarray) -> float:
 
 
 def _min_covolume(basis: np.ndarray, lambda1: float) -> float:
-    """Certified minimal covolume of a rank-2 sublattice.
+    """Certified minimal covolume of a rank-2 sublattice, from one enumeration.
 
-    The optimal sublattice has a basis attaining its minima mu_1 <= mu_2,
-    with mu_1 >= lambda1 and mu_1 mu_2 <= (4/pi) covol, so once the
-    enumeration radius reaches (4/pi) * best / lambda1 every pair that could
-    improve on ``best`` has been scanned.
+    ``best`` starts at the least covolume of two basis columns.  The optimal
+    sublattice has a basis attaining its minima mu_1 <= mu_2, with
+    mu_1 >= lambda1 and mu_1 mu_2 <= (4/pi) covol <= (4/pi) best, so both
+    vectors lie within the radius (4/pi) * best / lambda1.
     """
     d = basis.shape[0]
-    # seed: pairs of basis columns span primitive sublattices
     best = math.inf
     for pair in itertools.combinations(range(d), 2):
         sub = basis[:, pair]
         best = min(best, math.sqrt(max(float(np.linalg.det(sub.T @ sub)), 0.0)))
-    radius = max(lambda1 * 1.5, (_RANK2_FACTOR * best) ** 0.5 * 1.2)
-    for _ in range(16):
-        coords = _fincke_pohst(basis, radius, _ALPHA_CAP)
-        if coords.shape[0]:
-            vecs = coords.astype(np.float64) @ basis.T
-            norms = np.linalg.norm(vecs, axis=1)
-            best = _scan_min_covolume(vecs, coords, norms, best, _RANK2_FACTOR * best)
-        needed = _RANK2_FACTOR * best / lambda1
-        if needed <= radius * (1 + 1e-9):
-            return best
-        radius = needed
-    raise CapExceededError("alpha radius escalation failed to certify")
+    coords = _fincke_pohst(basis, _RANK2_FACTOR * best / lambda1, _ALPHA_CAP)
+    vecs = coords.astype(np.float64) @ basis.T
+    return _scan_min_covolume(vecs, coords, np.linalg.norm(vecs, axis=1), best, _RANK2_FACTOR * best)
 
 
 def alpha(lat: UnimodularLattice) -> float:

@@ -168,9 +168,11 @@ def summarize(samples, sigma2: float | None) -> tuple[SummaryStats, str]:
     )
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at z = 1.96 (95%)."""
     if n == 0:
         return (0.0, 1.0)
+    z = 1.96
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -425,16 +427,28 @@ class TailRow:
 
 
 def run_alpha_tail(config: ExperimentConfig):
-    """Empirical P(alpha(a^s Lambda_u) >= L) at s = ceil(kappa log L)."""
+    """Empirical P(alpha(a^s Lambda_u) >= L) at s = ceil(kappa log L).
+
+    The float basis of a^s Lambda_u rounds p + <u_i, q> for its short vectors
+    (|q| ~ e^s) with an error near e^{(1 + max w) s} 2^-53, so flow times that
+    push it above 2^-26 are refused before any sample runs.
+    """
     if config.problem.dimension > 5:
         raise ValidationError("alpha tails need dimension <= 5 (certified alpha)")
     m, n = config.problem.m, config.problem.n
     factor = THRESHOLDS["tail_factor"]
     exponent = THRESHOLDS["tail_exponent"]
+    growth = 1 + max(config.problem.weights_float())
+    flow_times = [int(math.ceil(config.kappa * math.log(L))) if L > 1 else 0 for L in config.L_grid]
+    for L, s in zip(config.L_grid, flow_times):
+        if growth * s > 27 * math.log(2):
+            raise ValidationError(
+                f"L={L:g} needs flow time s={s}, where the float basis no longer holds the lattice "
+                f"((1 + max w) s = {growth * s:.4g} > 27 ln 2)"
+            )
 
     rows = []
-    for L in config.L_grid:
-        s = int(math.ceil(config.kappa * math.log(L))) if L > 1 else 0
+    for L, s in zip(config.L_grid, flow_times):
 
         def one(i: int) -> bool:
             u = sample_u_at(config.seed, i, m, n)

@@ -31,9 +31,9 @@ from diophlab.problem import ApproximationProblem, Norm
 _MARGIN = 1e-9
 
 
-def _q_grid(problem: ApproximationProblem, k_max: int, cap: int) -> np.ndarray:
-    """All integer q with |q_j| <= k_max, q != 0, as an (n, K) array."""
-    if (2 * k_max + 1) ** problem.n > cap:
+def _q_grid(problem: ApproximationProblem, k_max: int) -> np.ndarray:
+    """All integer q with |q_j| <= k_max, q != 0, as an (n, K) array (box capped by DIOPH_CAP)."""
+    if (2 * k_max + 1) ** problem.n > enumeration_cap():
         raise CapExceededError(f"brute-force grid of {(2 * k_max + 1) ** problem.n} points > cap")
     axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * problem.n
     grids = np.meshgrid(*axes, indexing="ij")
@@ -80,16 +80,14 @@ def brute_force_count(
     u: MatrixU,
     T: float,
     convention: Convention = Convention.BOTH_SIGNS,
-    cap: int | None = None,
 ) -> int:
     """Count of solutions with 0 < ||q|| < T by explicit p enumeration."""
     if not T > 1:
         raise ValidationError("brute_force_count needs T > 1")
     if convention is Convention.POSITIVE_Q and problem.n != 1:
         raise ValidationError("PositiveQ convention requires n = 1")
-    cap = enumeration_cap() if cap is None else cap
     k_max = _sup_radius_below(T)
-    pts = _q_grid(problem, k_max, cap)
+    pts = _q_grid(problem, k_max)
     if problem.norm is Norm.SUP or problem.n == 1:
         norm_int = np.max(np.abs(pts), axis=0)
         keep = norm_int <= k_max
@@ -115,13 +113,11 @@ def brute_force_block(
     u: MatrixU,
     s: int,
     convention: Convention = Convention.BOTH_SIGNS,
-    cap: int | None = None,
 ) -> int:
     """Block count for the shell e^s <= ||q|| < e^{s+1}, explicit p path."""
-    cap = enumeration_cap() if cap is None else cap
     if problem.norm is Norm.SUP or problem.n == 1:
         k_lo, k_hi = block_radius_range(s)
-        pts = _q_grid(problem, k_hi, cap)
+        pts = _q_grid(problem, k_hi)
         norm_int = np.max(np.abs(pts), axis=0)
         keep = (norm_int >= k_lo) & (norm_int <= k_hi)
         pts, norm_int = pts[:, keep], norm_int[keep]
@@ -129,7 +125,7 @@ def brute_force_block(
         norm_f = norm_int.astype(np.float64)
     else:
         q_lo, q_hi = block_sq_radius_range(s)
-        pts = _q_grid(problem, int(math.isqrt(q_hi)), cap)
+        pts = _q_grid(problem, int(math.isqrt(q_hi)))
         norm_sq = np.sum(pts * pts, axis=0)
         keep = (norm_sq >= q_lo) & (norm_sq <= q_hi)
         pts, norm_sq = pts[:, keep], norm_sq[keep]

@@ -39,11 +39,11 @@ _BERNOULLI = (
 )
 
 
-def zeta(s: float, tol: float = 1e-13) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for real s > 1 by Euler-Maclaurin summation.
 
     Partial sum to K plus K^{1-s}/(s-1) + K^{-s}/2 and Bernoulli corrections;
-    K grows until the first dropped correction is below ``tol``.
+    K grows until the first dropped correction is below 1e-13.
     """
     if not s > 1:
         raise ValidationError("zeta(s) implemented for s > 1 only")
@@ -62,13 +62,13 @@ def zeta(s: float, tol: float = 1e-13) -> float:
             total += term
             poch *= (s + two_j - 1) * (s + two_j)
             power /= K * K
-            if abs(term) < tol:
+            if abs(term) < 1e-13:
                 converged = True
                 break
         if converged:
             return total
         K *= 4
-        if K > 1 << 22:  # pragma: no cover - tol unreachable
+        if K > 1 << 22:  # pragma: no cover - tolerance unreachable
             return total
 
 
@@ -182,7 +182,6 @@ def theta_infinity_numeric(
     g_support: tuple,
     hs,
     h_supports,
-    tol: float = 1e-8,
 ) -> float:
     """Lag covariance for a separable test function, by 1-d quadrature.
 
@@ -196,6 +195,7 @@ def theta_infinity_numeric(
     """
     from scipy.integrate import quad
 
+    tol = 1e-8  # absolute and relative quadrature tolerance
     d = problem.m + problem.n
     if d < 3:
         raise ValidationError("theta_infinity_numeric needs m + n >= 3")
@@ -318,35 +318,30 @@ class DivisorSumReport:
     max_inner_ratio: float
 
 
-def divisor_sum_check(T: int, k: int, P_of_q=None) -> DivisorSumReport:
-    """Exact sum_{q <= T} sum_{1 <= ell <= q} N(q, ell)^k and its growth ratio.
+def divisor_sum_check(T: int, k: int) -> DivisorSumReport:
+    """Exact sum_{q <= T} sum_{1 <= ell <= q} N(q, ell)^k, with P = q, and its growth ratio.
 
     ``ratio`` divides the total by T^{k+1} (log T)^{nu_k} with nu_1 = 1 and
     nu_k = 0 for k >= 2.  Additionally verifies, exactly and per q, that the
-    inner sum is at most (2 P(q)/q + 1)^k * q * sigma_{k-1}(q).
+    inner sum is at most (2 P/q + 1)^k * q * sigma_{k-1}(q) = 3^k q sigma_{k-1}(q).
     """
     if T < 2 or T > 10_000:
         raise ValidationError("T must be in [2, 10^4]")
     if k < 1 or k > 3:
         raise ValidationError("k must be in [1, 3]")
-    if P_of_q is None:
-        P_of_q = lambda q: q
     phi, divisors = _totients_and_divisors(T)
     total = 0
     holds = True
     max_inner_ratio = 0.0
     for q in range(1, T + 1):
-        P = int(P_of_q(q))
         inner = 0
         weight_bound = 0
         for d in divisors[q]:
             # ell with gcd(q, ell) = d number phi(q/d)
-            inner += int(phi[q // d]) * n_solutions(q, d, P) ** k
+            inner += int(phi[q // d]) * n_solutions(q, d, q) ** k
             weight_bound += d ** (k - 1)
         total += inner
-        bound = Fraction(2 * P, q) + 1
-        cap = bound**k * q * weight_bound  # q * sigma_{k-1}(q) scaled
-        if inner > cap:
+        if inner > 3**k * q * weight_bound:  # weight_bound = sigma_{k-1}(q)
             holds = False
         max_inner_ratio = max(max_inner_ratio, inner / float(q * weight_bound))
     nu = 1 if k == 1 else 0

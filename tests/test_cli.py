@@ -176,15 +176,46 @@ def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
         ["count", "--logT", "3", "--u", "0.5"],
         ["count", "--config", "{tmp}/missing.json"],
         ["count", "--config", "{tmp}"],
+        ["count", "--config", "{tmp}/list.json"],
+        ["count", "--config", "{tmp}/string.json"],
     ],
 )
 def test_bad_number_u_or_config_is_usage_error(tmp_path, argv):
     # the case's flags come last, so they override the problem's
     problem = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "5"]
+    (tmp_path / "list.json").write_text("[1, 2]")  # valid JSON, but not an object
+    (tmp_path / "string.json").write_text('"x"')
     case = [a.format(tmp=tmp_path) for a in argv[1:]]
     out = tmp_path / "out"
     assert main(argv[:1] + problem + case + ["--out-dir", str(out)]) == 2
     assert not out.exists()
+
+
+def test_count_logT_overflow_is_cap_exceeded(tmp_path, capsys):
+    # e^1000 overflows a float; like clt --logT 1000 and count --T 1e300 this exits 3
+    argv = ["count", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--logT", "1000"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_alpha_tail_refuses_flow_times_beyond_float_precision(tmp_path, capsys):
+    # (1,3) on the default grid L = 2, 4, 8 needs s = 3, 6, 9; already (1 + 3) * 6 > 27 ln 2,
+    # so the float basis of a^6 Lambda_u rounds its short vectors beyond 2^-26: no sample runs
+    argv = ["alpha-tail", "--m", "1", "--n", "3", "--weights", "3", "--thetas", "1", "--samples", "5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "L=4" in err and "s=6" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_alpha_tail_runs_inside_float_precision(tmp_path):
+    # (1,2) at L = 2, 4 needs s = 3, 6 and (1 + 2) * 6 = 18 <= 27 ln 2
+    argv = ["alpha-tail", "--m", "1", "--n", "2", "--weights", "2", "--thetas", "1", "--samples", "20"]
+    code = main(argv + ["--L-grid", "2,4", "--out-dir", str(tmp_path)])
+    assert code in (0, 1)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(r["L"], r["s"]) for r in summary["rows"]] == [(2.0, 3), (4.0, 6)]
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])

@@ -146,11 +146,9 @@ def test_ladder_chain():
     assert chain[0] == 0.0
     assert all(a < b for a, b in zip(chain, chain[1:]))
     assert lad.alpha(1) == (3 + lad.r) * lad.beta(1)
+    assert lad.beta(2) == (3 + lad.r) * lad.beta(1) + lad.gamma
     with pytest.raises(ValidationError):
         LadderParams(gamma=-1.0, r=2)
-    # caller-replaceable recursion
-    lad2 = LadderParams(gamma=1.0, r=2, beta_recursion=lambda b, g, r: (4 + r) * b + 2 * g)
-    assert lad2.beta(2) == (4 + 2) * 1.0 + 2.0
 
 
 def test_classify_small_tuples_bulk():

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diophlab import lattice
 from diophlab.counting import CountingKernel, MatrixU
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import (
@@ -158,27 +161,133 @@ def test_siegel_points_cap(monkeypatch):
         siegel_transform_points([(-50.0, 50.0)] * 2, UnimodularLattice(np.eye(2)))
 
 
-def _alpha_exhaustive(basis, radius):
-    """Brute subspace scan by Gram determinants over an enumeration ball."""
-    import itertools
+def _ball(basis, radius):
+    """Integer coordinates and vectors of the lattice points within ``radius``
+    (one per sign pair), sorted by length.  The vectors are summed in exact
+    integers and rounded once, so no cancellation enters."""
+    coords = _fincke_pohst(basis, radius * (1 + 1e-9), 10**8)
+    scale = max(Fraction(float(x)).denominator for x in basis.ravel())
+    exact = np.array([[int(Fraction(float(x)) * scale) for x in row] for row in basis], dtype=object)
+    vecs = (coords.astype(object) @ exact.T / scale).astype(float).reshape(-1, basis.shape[0])
+    order = np.argsort(np.linalg.norm(vecs, axis=1), kind="stable")
+    return coords[order], vecs[order]
 
-    coords = _fincke_pohst(basis, radius, 10**7)
-    V = coords.astype(float) @ basis.T
+
+def _covolumes(vecs):
+    """Covolume of each stack of row vectors, |prod diag R| of a QR factorisation."""
+    r = np.linalg.qr(np.swapaxes(vecs, -1, -2), mode="r")
+    return np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+
+
+# 2^j / vol(unit j-ball): Minkowski's second theorem bounds mu_1 ... mu_j of a
+# rank-j lattice by this times its covolume
+_MINKOWSKI = {j: 2**j * math.gamma(j / 2 + 1) / math.pi ** (j / 2) for j in range(1, 5)}
+
+
+def _successive_minima(coords):
+    """Indices of vectors attaining lambda_1 .. lambda_{d-1}, by a greedy pass in length order."""
+    picked = []
+    for i in range(len(coords)):
+        if len(picked) == coords.shape[1] - 1:
+            break
+        if np.linalg.matrix_rank(coords[picked + [i]].astype(float)) > len(picked):
+            picked.append(i)
+    return picked
+
+
+def _minkowski_subsets(norms, j, bound):
+    """Index tuples i_1 < ... < i_j of ``norms`` (ascending) with product <= ``bound``."""
+    subsets = [((), 1.0)]
+    for t in range(j):
+        grown = []
+        for idx, prod in subsets:
+            # the j - t vectors still to pick are each at least norms[i] long
+            hi = np.searchsorted(norms ** (j - t), bound / prod * (1 + 1e-9), side="right")
+            grown.extend((idx + (i,), prod * norms[i]) for i in range(idx[-1] + 1 if idx else 0, hi))
+        subsets = grown
+    return np.array([idx for idx, _ in subsets], dtype=np.intp).reshape(-1, j)
+
+
+def _exhaustive_covolume(basis, radius, j):
+    """Least covolume of a rank-j sublattice with a basis inside the ball, with no LLL and no duality.
+
+    It scans the independent j-subsets of ball vectors (independence from the
+    integer Gram determinant).  A subset is skipped only when Minkowski's
+    second theorem rules it out as the minima of a sublattice that beats the
+    first j successive-minima vectors: its norm product exceeds kappa_j times
+    their covolume.  Returns inf when the ball spans rank < j.
+    """
+    coords, vecs = _ball(basis, radius)
+    picked = _successive_minima(coords)
+    if len(picked) < j:
+        return math.inf
+    bound = _MINKOWSKI[j] * float(_covolumes(vecs[picked[:j]]))
+    subsets = _minkowski_subsets(np.linalg.norm(vecs, axis=1), j, bound)
+    x = coords[subsets]
+    independent = np.abs(np.linalg.det((x @ np.swapaxes(x, 1, 2)).astype(float))) > 0.5
+    return float(np.min(_covolumes(vecs[subsets[independent]])))
+
+
+def _alpha_exhaustive(basis, radius):
+    """max(1, 1 / least rank-j covolume) over j < d, each from the subspace scan of the ball."""
+    return max(1.0, *(1.0 / _exhaustive_covolume(basis, radius, j) for j in range(1, basis.shape[0])))
+
+
+def _certified_radius(basis):
+    """A radius whose ball holds a basis of every minimal-covolume sublattice of rank < d (d <= 4).
+
+    Take the successive minima lambda_1 .. lambda_{d-1} and vectors attaining
+    them.  The minimal rank-j sublattice D has covolume c_j at most that of the
+    first j of those vectors, and its minima mu_i >= lambda_i satisfy
+    mu_1 ... mu_j <= kappa_j c_j, so mu_j <= kappa_j c_j / (lambda_1 ... lambda_{j-1}).
+    For j <= 3 vectors attaining the minima of D form a basis of D.
+    """
     d = basis.shape[0]
-    out = 1.0
-    for j in range(1, d):
-        best = math.inf
-        for combo in itertools.combinations(range(len(V)), j):
-            X = np.array([coords[c] for c in combo], dtype=float)
-            if np.linalg.matrix_rank(X) < j:
-                continue
-            M = V[list(combo)]
-            g = float(np.linalg.det(M @ M.T))
-            if g > 1e-12:
-                best = min(best, math.sqrt(g))
-        if best < math.inf:
-            out = max(out, 1.0 / best)
-    return out
+    radius = float(np.min(np.linalg.norm(basis, axis=0)))
+    while True:
+        coords, vecs = _ball(basis, radius)
+        picked = _successive_minima(coords)
+        if len(picked) == d - 1:
+            break
+        radius *= 1.25
+    lam = np.linalg.norm(vecs[picked], axis=1)
+    return max(
+        _MINKOWSKI[j] * float(_covolumes(vecs[picked[:j]])) / float(np.prod(lam[: j - 1])) for j in range(1, d)
+    )
+
+
+# (problem, largest flow time): d = 3 at s <= 6, inside the alpha-tail precision
+# guard (1 + max w) s <= 27 ln 2, and a few d = 4 lattices at small s
+_ALPHA_CASES = [
+    (P21, 6),
+    (validate(ApproximationProblem(m=2, n=1, weights=(Fraction(1, 3), Fraction(2, 3)), thetas=(1.0, 1.0))), 6),
+    (validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(1.0,))), 6),
+]
+_ALPHA_CASES_D4 = [(validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.0))), 2)]
+
+
+@st.composite
+def flowed_lattices(draw, cases):
+    prob, s_max = draw(st.sampled_from(cases))
+    s = draw(st.integers(0, s_max))
+    u = [[draw(st.integers(0, 2**53 - 1)) / 2**53 for _ in range(prob.n)] for _ in range(prob.m)]
+    return apply_flow(lattice_from_u(prob, MatrixU(np.array(u))), s, prob)
+
+
+def _check_alpha_against_exhaustive(lat):
+    assert alpha(lat) == pytest.approx(_alpha_exhaustive(lat.basis, _certified_radius(lat.basis)), rel=1e-12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(flowed_lattices(_ALPHA_CASES))
+def test_alpha_matches_certified_exhaustive_d3(lat):
+    _check_alpha_against_exhaustive(lat)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(flowed_lattices(_ALPHA_CASES_D4))
+def test_alpha_matches_certified_exhaustive_d4(lat):
+    _check_alpha_against_exhaustive(lat)
 
 
 def test_alpha_integer_lattices():
@@ -233,6 +342,46 @@ def test_alpha_equals_dual_alpha():
             lat = apply_flow(lattice_from_u(prob, MatrixU(rng.random((prob.m, prob.n)))), s, prob)
             dual = UnimodularLattice(np.linalg.inv(lat.basis).T)
             assert alpha(dual) == pytest.approx(alpha(lat), rel=1e-12)
+
+
+@pytest.mark.parametrize("prob", [P22, P32])
+def test_min_covolume_enumerates_once(prob, monkeypatch):
+    # the radius (4/pi) best / lambda_1 is certified before the scan, so one
+    # enumeration settles the rank-2 minimum of every lattice.  The basis is
+    # skewed by a unimodular U, so that its column pairs need not attain the
+    # minimum and the enumeration has to find it.
+    rng = np.random.default_rng(4)
+    calls = []
+    enumerate_ = lattice._fincke_pohst
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_(*args)
+
+    monkeypatch.setattr(lattice, "_fincke_pohst", counted)
+    for s in (0, 1, 2, 3):
+        lat = apply_flow(lattice_from_u(prob, MatrixU(rng.random((prob.m, prob.n)))), s, prob)
+        reduced = _lll_reduce(lat.basis)
+        lam = lattice._shortest_length(reduced)
+        U = np.eye(prob.dimension, dtype=np.int64)
+        for _ in range(prob.dimension):
+            i, j = rng.choice(prob.dimension, 2, replace=False)
+            U[:, i] += U[:, j]
+        skewed = reduced @ U
+        calls.clear()
+        covol = lattice._min_covolume(skewed, lam)
+        assert len(calls) == 1
+        # a smaller rank-2 covolume c would have a basis within (4/pi) covol / lambda_1
+        want = _exhaustive_covolume(skewed, 4 / math.pi * covol / lam, 2)
+        assert covol == pytest.approx(want, rel=1e-12)
+
+
+def test_lll_step_guard_raises(monkeypatch):
+    skew = np.array([[1.0, 7.0, 3.0], [0.0, 1.0, 5.0], [0.0, 0.0, 1.0]])
+    assert abs(np.linalg.det(_lll_reduce(skew))) == pytest.approx(1.0)
+    monkeypatch.setattr(lattice, "_LLL_MAX_STEPS", 1)
+    with pytest.raises(CapExceededError, match="LLL"):
+        _lll_reduce(skew)
 
 
 def test_alpha_uncertified_above_five():
