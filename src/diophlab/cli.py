@@ -84,6 +84,31 @@ def _comma_list(text: str, conv):
     return tuple(conv(x) for x in text.split(",") if x != "")
 
 
+_REAL = (int, float)
+# the JSON types each setting accepts; a list setting holds a list of them
+_SETTING_TYPES = {
+    "m": int, "n": int, "logT": int, "samples": int, "seed": int, "workers": int, "t_base": int,
+    "T": _REAL, "kappa": _REAL, "norm": str, "convention": str, "out_dir": str,
+    "inject_fault": str, "fast": bool,
+}
+_LIST_TYPES = {"weights": (str, int, float), "thetas": _REAL, "lags": int, "L_grid": _REAL, "n_grid": int, "u": _REAL}
+
+
+def _check_setting_types(merged: dict) -> None:
+    """Refuse a setting of the wrong type here, before it ends in a TypeError deep in a run."""
+
+    def fits(value, kinds) -> bool:
+        return isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool))
+
+    for key, value in merged.items():
+        if key in _LIST_TYPES:
+            ok = isinstance(value, (list, tuple)) and all(fits(x, _LIST_TYPES[key]) for x in value)
+        else:
+            ok = key not in _SETTING_TYPES or fits(value, _SETTING_TYPES[key])
+        if not ok and not (value is None and key in ("T", "u", "inject_fault")):  # these default to None
+            raise ValidationError(f"setting {key} has the wrong type: {value!r}")
+
+
 def parse_args(argv) -> CliConfig:
     parser = argparse.ArgumentParser(prog="diophlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -132,6 +157,12 @@ def parse_args(argv) -> CliConfig:
         if key == "config" or value is None:
             continue
         merged[key] = value
+    for key, conv in (("weights", str), ("thetas", float), ("lags", int), ("L_grid", float), ("n_grid", int)):
+        if isinstance(merged.get(key), str):
+            merged[key] = _comma_list(merged[key], conv)
+    if isinstance(merged.get("u"), str):
+        merged["u"] = _comma_list(merged["u"], float)
+    _check_setting_types(merged)
     if merged.get("T") is not None:
         T = float(merged["T"])
         if not math.isfinite(T):
@@ -139,11 +170,6 @@ def parse_args(argv) -> CliConfig:
         if "logT" not in merged:
             # experiments work in whole shells; `count` keeps the exact T
             merged["logT"] = max(1, int(round(math.log(T))))
-    for key, conv in (("weights", str), ("thetas", float), ("lags", int), ("L_grid", float), ("n_grid", int)):
-        if isinstance(merged.get(key), str):
-            merged[key] = _comma_list(merged[key], conv)
-    if isinstance(merged.get("u"), str):
-        merged["u"] = _comma_list(merged["u"], float)
     merged["subcommand"] = ns.subcommand
     known = {f.name for f in dataclasses.fields(CliConfig)}
     unknown = set(merged) - known

@@ -6,21 +6,21 @@ endpoints are evaluated in double precision, and a q is escalated to exact
 rational arithmetic only when an endpoint lies within a certified float
 error bound of an integer (``per_q_product_counts`` states the bound and its
 one assumption; entries of u are dyadic, q is integral, weights are
-rational, so the strict inequality can be settled by cross-powering).  An
-interval narrower than 1 holds at most one integer, so for most q the count
-is one mask ||<u_i, q>|| < rho_i.  Form i + 1 is evaluated only where the
-product over forms 0..i is still nonzero, and q is processed in chunks of
-``_CHUNK`` columns, so the per-call work arrays stay cache-sized whatever
-the grid.
+rational, so the strict inequality can be settled by cross-powering).
+
+Counting is candidate-first and sparse.  q streams in chunks of ``_CHUNK``
+columns through two reused buffers.  Form 0 keeps the q whose interval is
+wide or may hold an integer; the other forms and the escalation see only
+those, and only the q with a nonzero count leave the chunk, so the memory
+of a call is bounded by the chunk, not by the grid.
 
 Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
 ``squared_radii(problem)`` holds (Euclidean norm, n >= 2), so the square
 root is never taken on the exact path.  Grids, shell bounds, the "below T"
-cut and the escalation all work on that key.
-
-Radial shells use integer thresholds ceil(e^s) computed in high precision
-once and cached, which makes the tessellation identity against the lattice
-module exact rather than approximate.
+cut and the escalation all work on that key.  Radial shells use integer
+thresholds ceil(e^s), computed once with the correctly rounded ``decimal``
+exp and cached, so the tessellation identity against the lattice module is
+exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
 
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm
@@ -84,9 +84,6 @@ class MatrixU:
     def n(self) -> int:
         return self.entries.shape[1]
 
-    def row_fractions(self, i: int):
-        return tuple(Fraction(x) for x in self.entries[i])
-
 
 @dataclass(frozen=True)
 class CountResult:
@@ -104,8 +101,9 @@ def _ceil_exp(x: int) -> int:
     """Smallest integer >= e^x, settled in high-precision arithmetic."""
     if x < 0:
         raise ValidationError("negative exponent in radial threshold")
-    with mp.workdps(60 + x):
-        return int(mp.ceil(mp.e**x))
+    with localcontext() as ctx:
+        ctx.prec = 60 + x
+        return math.ceil(Decimal(x).exp())  # Decimal.exp is correctly rounded
 
 
 def squared_radii(problem: ApproximationProblem) -> bool:
@@ -208,22 +206,32 @@ def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarr
     return rho
 
 
-def _form_counts(t: np.ndarray, rho: np.ndarray, err: float) -> tuple[np.ndarray, np.ndarray]:
+def _dot_gap(u_row: np.ndarray, q: np.ndarray, rho: np.ndarray, t: np.ndarray, gap: np.ndarray) -> None:
+    """t = <u_row, q>, summed term by term, and gap = ||t|| - rho, with
+    ||t|| = |t - rint(t)| exact in floats; q holds integer columns."""
+    t[:] = q[0]  # a cast in place and a float multiply beat one casting multiply
+    t *= u_row[0]
+    for k in range(1, q.shape[0]):
+        gap[:] = q[k]
+        gap *= u_row[k]
+        t += gap
+    np.subtract(t, np.rint(t, out=gap), out=gap)
+    np.abs(gap, out=gap)
+    gap -= rho
+
+
+def _form_counts(t: np.ndarray, rho: np.ndarray, err: float, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float counts #{p : |p + t| < rho} and the mask of q that float cannot settle.
 
+    ``gap`` holds ||t|| - rho (any value on the wide q) and is overwritten;
     ``err`` bounds the float error of t and rho.  Where 2 rho < 1 - 2 err the
-    open interval holds at most one integer, so the count is ||t|| < rho with
-    ||t|| = |t - rint(t)| (exact in floats); only the few wider intervals take
-    ceil(hi) - floor(lo) - 1.  A q is suspicious when the decision sits within
-    ``err`` of flipping.
+    open interval holds at most one integer, so the count is gap < 0; only
+    the few wider intervals take ceil(hi) - floor(lo) - 1.  A q is
+    suspicious when the decision sits within ``err`` of flipping.
     """
     wide = np.flatnonzero(rho >= 0.5 - err)
-    diff = np.rint(t)
-    np.subtract(t, diff, out=diff)
-    np.abs(diff, out=diff)
-    diff -= rho  # ||t|| - rho
-    cnt = (diff < 0).astype(np.int64)
-    sus = np.abs(diff, out=diff) <= err
+    cnt = (gap < 0).astype(np.int64)
+    sus = np.abs(gap, out=gap) <= err
     if wide.size:
         hi = rho[wide] - t[wide]
         lo = -rho[wide] - t[wide]
@@ -232,53 +240,26 @@ def _form_counts(t: np.ndarray, rho: np.ndarray, err: float) -> tuple[np.ndarray
     return cnt, sus
 
 
-def _chunk_counts(problem: ApproximationProblem, u: MatrixU, q_int: np.ndarray, radii: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``per_q_product_counts`` of one chunk of q (see there for the error bound)."""
-    n = problem.n
-    squared = squared_radii(problem)
-    q = q_int.astype(np.float64)
-    key = int(radii.max())
-    l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the chunk
-    prod = None  # product over the forms so far
-    live = None  # columns where it is still nonzero; None before the first form
-    for i in range(problem.m):
-        err = _SAFETY * 2.0**-52 * (n * l1 + 2.0 * problem.thetas[i] + 1.0)
-        rows = q if live is None else q[:, live]
-        t = u.entries[i, 0] * rows[0]  # <u_i, q>, summed term by term
-        for k in range(1, n):
-            t += u.entries[i, k] * rows[k]
-        rho_i = rho[i] if live is None else rho[i, live]
-        cnt, sus = _form_counts(t, rho_i, err)
-        if np.any(sus):
-            u_row = u.row_fractions(i)
-            theta = Fraction(problem.thetas[i])
-            for j in np.flatnonzero(sus):
-                col = j if live is None else live[j]
-                c = sum(u_row[k] * int(q_int[k, col]) for k in range(n))
-                cnt[j] = _exact_open_count(c, theta, problem.weights[i], int(radii[col]), squared)
-        if live is None:
-            prod, live = cnt, np.flatnonzero(cnt != 0)
-        else:
-            prod[live] *= cnt
-            live = live[cnt != 0]
-        if not live.size:
-            break
-    return prod
-
-
 def per_q_product_counts(
     problem: ApproximationProblem,
     u: MatrixU,
     q_int: np.ndarray,
     radii: np.ndarray,
     rho: np.ndarray | None = None,
-) -> np.ndarray:
-    """prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}} for each column q.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The q with a nonzero prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}.
 
     ``q_int`` is an (n, K) integer array and ``radii`` its integer radius keys
-    (see ``squared_radii``).  ``rho`` may carry the precomputed
-    ``interval_radii``.  Columns are counted in chunks of ``_CHUNK``; form
-    i + 1 is evaluated only on the q whose product is still nonzero.
+    (see ``squared_radii``); ``rho`` may carry the precomputed
+    ``interval_radii``.  Returns ``(cols, counts)``: the ascending columns
+    with a nonzero product, and their int64 products.
+
+    Candidates first.  Form 0 runs on every column of a chunk, as
+    gap = ||<u_0, q>|| - rho_0.  The candidates are the q with gap <= err_0,
+    plus the wide q (rho_0 >= 1/2 - err_0), forced in.  For a narrow q,
+    gap <= err_0 is exactly "counted (gap < 0) or suspicious (|gap| <= err_0)"
+    in ``_form_counts``, so the filter drops only q that count 0 without
+    escalating.  The rest of the work sees candidates and survivors only.
 
     Error bound.  Entries of u lie in [0, 1) and q is an exact integer, so
     the float t = <u_i, q> is within gamma_n ||q||_1 ~ n 2^-53 ||q||_1 of the
@@ -297,12 +278,37 @@ def per_q_product_counts(
     """
     if u.m != problem.m or u.n != problem.n:
         raise ValidationError("u has wrong shape for the problem")
-    out = np.empty(q_int.shape[1], dtype=np.int64)
+    n = problem.n
+    squared = squared_radii(problem)
+    buf = np.empty((2, min(q_int.shape[1], _CHUNK)))  # t and gap of form 0, reused by every chunk
+    cols, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for start in range(0, q_int.shape[1], _CHUNK):
-        part = slice(start, start + _CHUNK)
-        rho_part = interval_radii(problem, radii[part]) if rho is None else rho[:, part]
-        out[part] = _chunk_counts(problem, u, q_int[:, part], radii[part], rho_part)
-    return out
+        q, keys = q_int[:, start : start + _CHUNK], radii[start : start + _CHUNK]
+        rho_c = interval_radii(problem, keys) if rho is None else rho[:, start : start + _CHUNK]
+        key = int(keys.max())
+        l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the chunk
+        live = slice(None)  # form 0 runs on every column
+        for i in range(problem.m):
+            err = _SAFETY * 2.0**-52 * (n * l1 + 2.0 * problem.thetas[i] + 1.0)
+            t, gap = buf[:, : keys.size] if i == 0 else np.empty((2, live.size))
+            _dot_gap(u.entries[i], q[:, live], rho_c[i, live], t, gap)
+            if i == 0:
+                gap[rho_c[0] >= 0.5 - err] = -np.inf  # force the wide intervals in
+                live = np.flatnonzero(gap <= err)
+                t, gap = t[live], gap[live]
+            cnt, sus = _form_counts(t, rho_c[i, live], err, gap)
+            for j in np.flatnonzero(sus):
+                col = live[j]
+                c = sum(Fraction(u.entries[i, k]) * int(q[k, col]) for k in range(n))
+                cnt[j] = _exact_open_count(c, Fraction(problem.thetas[i]), problem.weights[i], int(keys[col]), squared)
+            hit = cnt != 0
+            prod = cnt[hit] if i == 0 else prod[hit] * cnt[hit]
+            live = live[hit]
+            if not live.size:
+                break
+        cols.append(live + start)
+        counts.append(prod)
+    return np.concatenate(cols), np.concatenate(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +350,26 @@ class CountingKernel:
 
     # -- per-sample work ---------------------------------------------------
 
-    def _counts_per_q(self, u: MatrixU) -> np.ndarray:
-        return per_q_product_counts(self.problem, u, self.q_int, self.radii, self.rho)
-
-    def _apply_convention(self, value, convention: Convention):
+    def _shell_counts(self, u: MatrixU, convention: Convention, below: int | None = None) -> np.ndarray:
+        """Shell counts of the q with radius key <= ``below`` (all q if None)."""
+        cols, counts = per_q_product_counts(self.problem, u, self.q_int, self.radii, self.rho)
+        if below is not None:
+            keep = self.radii[cols] <= below
+            cols, counts = cols[keep], counts[keep]
+        out = np.bincount(self.block_of[cols] - self.s_lo, weights=counts, minlength=self.n_shells)
         if convention is Convention.BOTH_SIGNS:
-            return value * 2
+            return out.astype(np.int64) * 2
         if self.problem.n != 1:
             raise ValidationError("PositiveQ convention requires n = 1")
-        return value
-
-    def _shell_counts(self, u: MatrixU, convention: Convention, mask) -> np.ndarray:
-        per_q = self._counts_per_q(u)[mask]
-        hit = per_q != 0  # most q count 0; bin only the others
-        out = np.bincount(
-            self.block_of[mask][hit] - self.s_lo, weights=per_q[hit], minlength=self.n_shells
-        ).astype(np.int64)
-        return self._apply_convention(out, convention)
+        return out.astype(np.int64)
 
     def block_counts(self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS) -> np.ndarray:
         """Counts for the shells s = s_lo .. s_hi-1, in that order."""
-        return self._shell_counts(u, convention, slice(None))
+        return self._shell_counts(u, convention)
 
     def _block_counts_below(self, u: MatrixU, T: float, convention: Convention) -> np.ndarray:
         """``block_counts`` restricted to ||q|| < T."""
-        mask = self.radii <= _sup_radius_below(T, squared_radii(self.problem))
-        return self._shell_counts(u, convention, mask)
+        return self._shell_counts(u, convention, _sup_radius_below(T, squared_radii(self.problem)))
 
     def count_up_to(self, u: MatrixU, T: float, convention: Convention = Convention.BOTH_SIGNS) -> int:
         """Count with e^{s_lo} <= ||q|| < T, T within the kernel's range."""

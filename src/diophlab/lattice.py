@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from diophlab.counting import MatrixU, enumeration_cap, half_space_grid, per_q_product_counts, squared_radii
 from diophlab.errors import CapExceededError, ValidationError
@@ -87,14 +87,15 @@ def apply_flow(lat: UnimodularLattice, s: int, problem: ApproximationProblem) ->
 def _radial_int_window(v1: float, v2: float, s: int, lower_closed: bool, upper_closed: bool, squared: bool):
     """Inclusive integer bounds for ||q|| (or ||q||^2) in the window
     [v1 e^s, v2 e^s] with the given open/closed flags."""
-    with mp.workdps(60 + 2 * max(0, s)):
-        es = mp.e**s
-        a = mp.mpf(v1) * es
-        b = mp.mpf(v2) * es
+    with localcontext() as ctx:
+        ctx.prec = 60 + 2 * max(0, s)
+        es = Decimal(s).exp()
+        a = Decimal(v1) * es
+        b = Decimal(v2) * es
         if squared:
             a, b = a * a, b * b
-        lo = int(mp.ceil(a)) if lower_closed else int(mp.floor(a)) + 1
-        hi = int(mp.floor(b)) if upper_closed else int(mp.ceil(b)) - 1
+        lo = math.ceil(a) if lower_closed else math.floor(a) + 1
+        hi = math.floor(b) if upper_closed else math.ceil(b) - 1
     return lo, hi
 
 
@@ -120,7 +121,7 @@ def siegel_transform_box(
     squared = squared_radii(problem)
     lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared)
     q, radii = half_space_grid(u.n, lo, hi, squared, enumeration_cap())
-    return 2 * int(per_q_product_counts(problem, u, q, radii).sum())
+    return 2 * int(per_q_product_counts(problem, u, q, radii)[1].sum())
 
 
 def siegel_transform_points(box, lat: UnimodularLattice) -> int:

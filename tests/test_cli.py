@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -165,6 +166,18 @@ def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
     assert not (tmp_path / "results.csv").exists()
 
 
+# (subcommand, setting, value): each ended in a TypeError deep in the run
+WRONG_TYPES = [
+    ("lln", "samples", "10"),
+    ("count", "logT", "7"),
+    ("count", "seed", 1.5),
+    ("count", "m", "2"),
+    ("clt", "workers", "2"),
+    ("covariance", "lags", 3),
+    ("alpha-tail", "kappa", "x"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -178,16 +191,23 @@ def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
         ["count", "--config", "{tmp}"],
         ["count", "--config", "{tmp}/list.json"],
         ["count", "--config", "{tmp}/string.json"],
+        *([sub, "--config", "{tmp}/" + key + ".json"] for sub, key, _ in WRONG_TYPES),
     ],
 )
 def test_bad_number_u_or_config_is_usage_error(tmp_path, argv):
-    # the case's flags come last, so they override the problem's
-    problem = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "5"]
+    # the case's flags come last, so they override the problem's; a file
+    # with a wrong-typed setting holds the whole problem, as a flag would
+    # override the setting
+    problem = {"m": 2, "n": 1, "weights": "1/2,1/2", "thetas": "1,1", "samples": 5}
     (tmp_path / "list.json").write_text("[1, 2]")  # valid JSON, but not an object
     (tmp_path / "string.json").write_text('"x"')
+    for _, key, value in WRONG_TYPES:
+        (tmp_path / f"{key}.json").write_text(json.dumps({**problem, key: value}))
     case = [a.format(tmp=tmp_path) for a in argv[1:]]
+    wrong_type = Path(case[-1]).stem in {key for _, key, _ in WRONG_TYPES}
+    flags = [] if wrong_type else [x for key, value in problem.items() for x in (f"--{key}", str(value))]
     out = tmp_path / "out"
-    assert main(argv[:1] + problem + case + ["--out-dir", str(out)]) == 2
+    assert main(argv[:1] + flags + case + ["--out-dir", str(out)]) == 2
     assert not out.exists()
 
 
@@ -243,6 +263,25 @@ def test_bad_config_value_is_usage_error(tmp_path, bad):
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, diophlab.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_every_setting_has_a_type_check():
+    from diophlab import cli
+
+    checked = set(cli._SETTING_TYPES) | set(cli._LIST_TYPES)
+    assert checked == {f.name for f in dataclasses.fields(cli.CliConfig)} - {"subcommand"}
+
+
+def test_cli_import_leaves_mpmath_out():
+    # radial thresholds use the stdlib decimal module; mpmath costs 30-40 ms of import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diophlab.cli; print('mpmath' in sys.modules)"],
         capture_output=True,
         text=True,
         timeout=120,

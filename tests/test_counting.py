@@ -180,6 +180,71 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch, problem, N):
     assert sum(int(b.sum()) for b, _ in whole) > 0
 
 
+P21_WIDE = validate(
+    ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(2.0, 1.5))
+)
+P13_WIDE = validate(ApproximationProblem(m=1, n=3, weights=(3,), thetas=(2.5,)))
+# theta_0 is the least double above sqrt(3)/4: at u_0 = 1/4, q = 3 the real interval
+# holds p = 0 by a hair, while the float radius 3^{-1/2} theta_0 may round to 1/4
+P21_EDGE = validate(
+    ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(0.43301270189221935, 2.0))
+)
+
+
+@pytest.mark.parametrize("problem,N", [(P21_WIDE, 6), (P13_WIDE, 2), (P21_EDGE, 3)], ids=["21", "13", "21-edge"])
+@pytest.mark.parametrize("chunk", [7, 10**9])
+def test_candidate_filter_matches_brute_force(monkeypatch, problem, N, chunk):
+    # intervals of width >= 1 near the origin, and a narrow one that float
+    # cannot settle: each such q must reach the counting whatever its chunk
+    rng = np.random.default_rng(43)
+    shape = (problem.m, problem.n)
+    us = [MatrixU(rng.random(shape)) for _ in range(3)]
+    us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)] + [MatrixU(np.full(shape, 0.25))]
+    kernel = CountingKernel(problem, 0, N)
+    assert kernel.rho.max() >= 1.0 and kernel.q_int.shape[1] > 7
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    for u in us:
+        want = [brute_force_block(problem, u, s) for s in range(N)]
+        assert kernel.block_counts(u).tolist() == want
+        cols, counts = counting.per_q_product_counts(problem, u, kernel.q_int, kernel.radii)
+        assert np.all(np.diff(cols) > 0) and np.all(counts != 0)
+        assert 2 * int(counts.sum()) == sum(want)
+
+
+def test_block_counts_memory_does_not_grow_with_the_grid():
+    # only the hits leave a chunk, so one call allocates about two chunk-sized
+    # float buffers whatever K; a K-sized per-sample array would cost 8 K bytes
+    import tracemalloc
+
+    peaks = []
+    for N in (12, 14):
+        kernel = CountingKernel(P21, 0, N)
+        kernel.block_counts(montecarlo.sample_u_at(5, 0, 2, 1))
+        tracemalloc.start()
+        try:
+            kernel.block_counts(montecarlo.sample_u_at(5, 1, 2, 1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert kernel.q_int.shape[1] > 2 * counting._CHUNK
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert max(peaks) <= 24 * counting._CHUNK < 8 * kernel.q_int.shape[1]
+
+
+def test_ceil_exp_matches_exact_taylor_bracket():
+    # sum_{k <= M} x^k / k! < e^x < that sum + x^{M+1} / (M+1)! * (M+2) / (M+2-x)
+    assert counting._ceil_exp(0) == 1
+    for x in range(1, 41):
+        M = 4 * x + 40
+        term, low = Fraction(1), Fraction(1)
+        for k in range(1, M + 1):
+            term *= Fraction(x, k)
+            low += term
+        high = low + term * Fraction(x, M + 1) * Fraction(M + 2, M + 2 - x)
+        assert math.floor(low) == math.floor(high)  # the bracket settles the ceiling
+        assert counting._ceil_exp(x) == math.floor(low) + 1
+
+
 def test_float_path_escalates_almost_never(monkeypatch):
     # the certified bound is ~6e-10 at N = 12, so a random u almost never
     # puts a decision inside it; an integer endpoint still escalates
