@@ -10,7 +10,6 @@ central limit behaviour of the normalized counts.
 from diophlab.problem import (
     ApproximationProblem,
     Norm,
-    WeightedBoxFunction,
     domain_volume,
     omega_n,
     validate,
@@ -54,7 +53,6 @@ __all__ = [
     "TheoryConstants",
     "UnimodularLattice",
     "ValidationError",
-    "WeightedBoxFunction",
     "alpha",
     "apply_flow",
     "constants",

@@ -22,7 +22,7 @@ from diophlab import lattice, montecarlo, theory
 from diophlab.counting import Convention, MatrixU, count_direct
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.montecarlo import ExperimentConfig
-from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction, validate
+from diophlab.problem import ApproximationProblem, Norm, validate
 
 SCHEMA_VERSION = 1
 
@@ -392,10 +392,9 @@ def _selftest_checks(fast: bool) -> list:
                 if a != b:
                     ok, detail = False, f"(m,n)=({m},{n}) T={T}: direct {a} != brute {b}"
         u = MatrixU(rng.random((2, 1)))
-        cell = WeightedBoxFunction.counting_cell(p21)
         lat = lattice.lattice_from_u(p21, u)
         total = count_direct(p21, u, math.e**4).total
-        pieces = sum(lattice.siegel_transform_box(cell, lat, s) for s in range(4))
+        pieces = sum(lattice.siegel_transform_box(p21, lat, s) for s in range(4))
         if total != pieces:
             ok, detail = False, f"tessellation: {total} != {pieces}"
         return ok, detail

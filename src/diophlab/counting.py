@@ -19,8 +19,9 @@ Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
 root is never taken on the exact path.  Grids, shell bounds, the "below T"
 cut and the escalation all work on that key.  Radial shells use integer
 thresholds ceil(e^s), computed once with the correctly rounded ``decimal``
-exp and cached, so the tessellation identity against the lattice module is
-exact rather than approximate.
+exp and cached.  They are the only shell thresholds in the package: the
+lattice module's Siegel transform of the counting cell is shell s of this
+kernel.
 """
 
 from __future__ import annotations
@@ -320,9 +321,9 @@ class CountingKernel:
     Denominators are enumerated from the positive half-space only (first
     nonzero coordinate of q positive); the both-signs count is exactly twice
     that by the symmetry (p, q) <-> (-p, -q).  Build once, then map
-    ``block_counts``/``count_up_to`` over many samples: the q-grid
-    ``q_int``, its radius keys ``radii`` and the interval radii
-    ``rho`` = theta_i * ||q||^{-w_i} do not depend on u.
+    ``block_counts`` over many samples: the q-grid ``q_int``, its radius
+    keys ``radii`` and the interval radii ``rho`` = theta_i * ||q||^{-w_i}
+    do not depend on u.
     """
 
     def __init__(self, problem: ApproximationProblem, s_lo: int, s_hi: int):
@@ -367,20 +368,12 @@ class CountingKernel:
         """Counts for the shells s = s_lo .. s_hi-1, in that order."""
         return self._shell_counts(u, convention)
 
-    def _block_counts_below(self, u: MatrixU, T: float, convention: Convention) -> np.ndarray:
-        """``block_counts`` restricted to ||q|| < T."""
-        return self._shell_counts(u, convention, _sup_radius_below(T, squared_radii(self.problem)))
-
-    def count_up_to(self, u: MatrixU, T: float, convention: Convention = Convention.BOTH_SIGNS) -> int:
-        """Count with e^{s_lo} <= ||q|| < T, T within the kernel's range."""
-        return int(self._block_counts_below(u, T, convention).sum())
-
 
 def _blocks_needed_for(T: float) -> int:
     if not 1 < T < math.inf:
         raise ValidationError("count_direct needs finite T > 1")
     n = max(1, int(math.ceil(math.log(T))))
-    while _ceil_exp(n) - 1 < _sup_radius_below(T):
+    while block_radius_range(n - 1)[1] < _sup_radius_below(T):
         n += 1
     return n
 
@@ -398,7 +391,7 @@ def count_direct(
     they sum to the total.
     """
     kernel = CountingKernel(problem, 0, _blocks_needed_for(T))
-    blocks = kernel._block_counts_below(u, T, convention)
+    blocks = kernel._shell_counts(u, convention, _sup_radius_below(T, squared_radii(problem)))
     total = int(blocks.sum())
     return CountResult(
         total=total, per_block=tuple(int(b) for b in blocks), T=float(T), convention=convention

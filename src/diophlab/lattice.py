@@ -1,6 +1,11 @@
 """Space-of-lattices observables: Lambda_u, the diagonal flow, Siegel
 transforms, and the reciprocal-covolume function alpha.
 
+The Siegel transform of the tessellation counts the problem's own cell
+[1, e) x {|x_i| < theta_i ||y||^{-w_i}} (thetas, weights and norm all come
+from the ApproximationProblem), and its radial window is the counting
+kernel's shell s, so the terms sum to Delta_{e^N} exactly.
+
 alpha(L) is the maximum over j of 1 / (minimal covolume of a rank-j
 sublattice), and at least 1.  For unimodular L, a primitive rank-j
 sublattice D and the rank-(d - j) sublattice of the dual lattice L*
@@ -18,14 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from diophlab.counting import MatrixU, enumeration_cap, half_space_grid, per_q_product_counts, squared_radii
+from diophlab.counting import CountingKernel, MatrixU, enumeration_cap
 from diophlab.errors import CapExceededError, ValidationError
-from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction
+from diophlab.problem import ApproximationProblem
 
 _DET_TOL = 1e-9
 
@@ -84,44 +88,21 @@ def apply_flow(lat: UnimodularLattice, s: int, problem: ApproximationProblem) ->
 # ---------------------------------------------------------------------------
 # Siegel transforms
 
-def _radial_int_window(v1: float, v2: float, s: int, lower_closed: bool, upper_closed: bool, squared: bool):
-    """Inclusive integer bounds for ||q|| (or ||q||^2) in the window
-    [v1 e^s, v2 e^s] with the given open/closed flags."""
-    with localcontext() as ctx:
-        ctx.prec = 60 + 2 * max(0, s)
-        es = Decimal(s).exp()
-        a = Decimal(v1) * es
-        b = Decimal(v2) * es
-        if squared:
-            a, b = a * a, b * b
-        lo = math.ceil(a) if lower_closed else math.floor(a) + 1
-        hi = math.floor(b) if upper_closed else math.ceil(b) - 1
-    return lo, hi
+def siegel_transform_box(problem: ApproximationProblem, lat: UnimodularLattice, s: int) -> int:
+    """Number of nonzero points of a^s Lambda_u in the counting cell of ``problem``.
 
-
-def siegel_transform_box(
-    f: WeightedBoxFunction,
-    lat: UnimodularLattice,
-    s: int,
-    norm: Norm = Norm.SUP,
-) -> int:
-    """Number of nonzero points of a^s Lambda_u inside the support of f.
-
-    Equals sum over q with v1 e^s <= ||q|| <= v2 e^s (flags as carried by f)
-    of prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}.  Requires the
-    lattice to carry (u, 0) provenance.  ``norm`` is the denominator norm;
-    for n = 1 the two norms coincide and the argument is ignored.
+    The cell is [1, e) x {|x_i| < theta_i ||y||^{-w_i}} in the problem's norm,
+    so the count is the kernel's shell s: the sum over q with e^s <= ||q|| <
+    e^{s+1} of prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}.
+    Requires the lattice to carry (u, 0) provenance.  A negative s raises
+    ValidationError (its window [e^s, e^{s+1}) holds no nonzero integer q).
     """
     if lat.provenance is None:
         raise ValidationError("siegel_transform_box needs (u, 0) provenance")
     u, s0 = lat.provenance
     if s0 != 0:
         raise ValidationError("siegel_transform_box needs the unflowed lattice (s = 0)")
-    problem = ApproximationProblem(m=u.m, n=u.n, weights=f.weights, thetas=f.thetas, norm=norm)
-    squared = squared_radii(problem)
-    lo, hi = _radial_int_window(f.upsilon1, f.upsilon2, s, f.lower_closed, f.upper_closed, squared)
-    q, radii = half_space_grid(u.n, lo, hi, squared, enumeration_cap())
-    return 2 * int(per_q_product_counts(problem, u, q, radii)[1].sum())
+    return int(CountingKernel(problem, s, s + 1).block_counts(u)[0])
 
 
 def siegel_transform_points(box, lat: UnimodularLattice) -> int:
@@ -337,35 +318,19 @@ def alpha(lat: UnimodularLattice) -> float:
     return out
 
 
-def truncated_siegel(
-    f,
-    lat: UnimodularLattice,
-    L: float,
-    s: int = 0,
-    problem: ApproximationProblem | None = None,
-) -> float:
+def truncated_siegel(f, lat: UnimodularLattice, L: float, s: int = 0) -> float:
     """Sharp-L truncation: the Siegel transform if alpha(a^s Lambda) <= L, else 0.
 
-    ``f`` may be a WeightedBoxFunction (counted at flow time s, needs
-    provenance and ``problem`` for n >= 2 norms) or an axis box as accepted
-    by :func:`siegel_transform_points` (then s must be 0).
+    ``f`` may be an ApproximationProblem (its counting cell at flow time s,
+    see :func:`siegel_transform_box`) or an axis box as accepted by
+    :func:`siegel_transform_points` (then s must be 0).
     """
     if L < 1:
         raise ValidationError("truncation level L must be >= 1")
-    if isinstance(f, WeightedBoxFunction):
-        if s == 0:
-            a_val = alpha(lat)
-        else:
-            if problem is None:
-                u, _ = lat.provenance if lat.provenance else (None, None)
-                if u is None:
-                    raise ValidationError("truncated_siegel needs provenance or problem")
-                problem = ApproximationProblem(m=u.m, n=u.n, weights=f.weights, thetas=f.thetas)
-            a_val = alpha(apply_flow(lat, s, problem))
-        if a_val > L:
+    if isinstance(f, ApproximationProblem):
+        if alpha(apply_flow(lat, s, f)) > L:
             return 0.0
-        norm = problem.norm if problem is not None else Norm.SUP
-        return float(siegel_transform_box(f, lat, s, norm=norm))
+        return float(siegel_transform_box(f, lat, s))
     if s != 0:
         raise ValidationError("axis-box truncation is defined at s = 0 only")
     if alpha(lat) > L:

@@ -10,8 +10,8 @@ Conventions fixed here and relied on everywhere else:
   surface measure (for n = 1 the sphere is {-1, +1} with counting measure),
   which makes ``domain_volume`` equal C * log(T) for any of the supported
   norms;
-* counting domains are radially half-open [1, T), box test functions default
-  to closed radial bounds, and the x-side inequality is always strict.
+* counting domains are radially half-open [1, T), and the x-side inequality
+  is always strict.
 """
 
 from __future__ import annotations
@@ -94,42 +94,6 @@ def validate(problem: ApproximationProblem) -> ApproximationProblem:
             f"weight sum {total} != n = {problem.n} (checked in exact rational arithmetic)"
         )
     return problem
-
-
-@dataclass(frozen=True)
-class WeightedBoxFunction:
-    """Indicator of {(x, y): u1 <= ||y|| <= u2, |x_i| < theta_i ||y||^{-w_i}}.
-
-    The x-side inequality is always strict; the radial bounds carry explicit
-    closed/open flags (closed by default, counting domains use [u1, u2)).
-    """
-
-    upsilon1: float
-    upsilon2: float
-    thetas: tuple
-    weights: tuple
-    lower_closed: bool = True
-    upper_closed: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(self, "weights", tuple(_as_fraction(w) for w in self.weights))
-        if not (0 < self.upsilon1 < self.upsilon2):
-            raise ValidationError("need 0 < upsilon1 < upsilon2")
-        if any(t <= 0 for t in self.thetas):
-            raise ValidationError("all thetas must be > 0")
-
-    @staticmethod
-    def counting_cell(problem: ApproximationProblem) -> "WeightedBoxFunction":
-        """The unit cell [1, e) x {|x_i| < theta_i ||y||^{-w_i}} of the tessellation."""
-        return WeightedBoxFunction(
-            upsilon1=1.0,
-            upsilon2=math.e,
-            thetas=problem.thetas,
-            weights=problem.weights,
-            lower_closed=True,
-            upper_closed=False,
-        )
 
 
 def unit_ball_volume(norm: Norm, n: int) -> float:

@@ -38,7 +38,7 @@ from diophlab.cumulants import LadderParams, classify_tuple, conditional_cumulan
 from diophlab.lattice import lattice_from_u, siegel_transform_box
 from diophlab.montecarlo import ExperimentConfig, run_alpha_tail, run_clt, run_covariance, run_lln, run_siegel_mean
 from diophlab.oracles import brute_force_count
-from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction, validate
+from diophlab.problem import ApproximationProblem, Norm, validate
 
 SEED = 42
 P21 = validate(
@@ -85,15 +85,12 @@ def test_criterion_01_oracle_equivalence():
     # tessellation identity: Delta_{e^N} equals the sum of shell transforms
     tess = 0
     for prob in (P21, problems[(1, 2)]):
-        cell = WeightedBoxFunction.counting_cell(prob)
         for _ in range(3):
             u = MatrixU(rng.random((prob.m, prob.n)))
             lat = lattice_from_u(prob, u)
             for N in (4, 7):
                 total = count_direct(prob, u, math.e**N).total
-                parts = sum(
-                    siegel_transform_box(cell, lat, s, norm=prob.norm) for s in range(N)
-                )
+                parts = sum(siegel_transform_box(prob, lat, s) for s in range(N))
                 tess += 1
                 if total != parts:
                     ok = False

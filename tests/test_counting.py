@@ -16,7 +16,7 @@ from diophlab.counting import (
     normalize_clt,
 )
 from diophlab.errors import CapExceededError, ValidationError
-from diophlab.lattice import WeightedBoxFunction, lattice_from_u, siegel_transform_box
+from diophlab.lattice import lattice_from_u, siegel_transform_box
 from diophlab.oracles import brute_force_block, brute_force_count, slow_reference_count
 from diophlab.problem import ApproximationProblem, Norm, validate
 
@@ -133,7 +133,6 @@ def test_dyadic_u_boundary_storm_euclidean():
     p = validate(
         ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.5), norm=Norm.EUCLIDEAN)
     )
-    kernel = CountingKernel(p, 0, 3)
     grid = [0.0, 0.25, 0.5, 0.75]
     for a in grid:
         for b in grid:
@@ -141,7 +140,6 @@ def test_dyadic_u_boundary_storm_euclidean():
             for T in (5.0, 7.5, 10.0):
                 want = brute_force_count(p, u, T)
                 assert count_direct(p, u, T).total == want
-                assert kernel.count_up_to(u, T) == want
                 assert slow_reference_count(p, u, T) == want
 
 
@@ -159,13 +157,12 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch, problem, N):
     us = [MatrixU(rng.random(shape)) for _ in range(3)]
     us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)]
     kernel = CountingKernel(problem, 0, N)
-    cell = WeightedBoxFunction.counting_cell(problem)
 
     def counts():
         return [
             (
                 kernel.block_counts(u),
-                [siegel_transform_box(cell, lattice_from_u(problem, u), s, norm=problem.norm) for s in range(N)],
+                [siegel_transform_box(problem, lattice_from_u(problem, u), s) for s in range(N)],
             )
             for u in us
         ]
@@ -282,14 +279,6 @@ def test_block_oracle_euclidean():
         u = MatrixU(rng.random((2, 2)))
         for s in (0, 1, 2):
             assert CountingKernel(p22, s, s + 1).block_counts(u)[0] == brute_force_block(p22, u, s)
-
-
-def test_count_up_to_matches_direct_inside_kernel():
-    rng = np.random.default_rng(31)
-    u = MatrixU(rng.random((2, 1)))
-    kernel = CountingKernel(P21, 0, 6)
-    for T in (9.0, 55.5, 148.4):
-        assert kernel.count_up_to(u, T) == count_direct(P21, u, T).total
 
 
 def test_positive_q_requires_n1():

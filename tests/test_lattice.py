@@ -20,7 +20,8 @@ from diophlab.lattice import (
     siegel_transform_points,
     truncated_siegel,
 )
-from diophlab.problem import ApproximationProblem, Norm, WeightedBoxFunction, validate
+from diophlab.oracles import brute_force_block
+from diophlab.problem import ApproximationProblem, Norm, validate
 
 P11 = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(0.5,)))
 P21 = validate(
@@ -60,31 +61,28 @@ def test_flow_exponents_and_group_law():
 
 def test_siegel_box_examples():
     lat = lattice_from_u(P11, MatrixU(np.zeros((1, 1))))
-    cell = WeightedBoxFunction.counting_cell(P11)
-    assert siegel_transform_box(cell, lat, 0) == 4
-    assert siegel_transform_box(cell, lat, 1) == 10
-    narrow = WeightedBoxFunction(upsilon1=1.41, upsilon2=1.414, thetas=(0.5,), weights=(1,))
-    assert siegel_transform_box(narrow, lat, 0) == 0
+    assert siegel_transform_box(P11, lat, 0) == 4
+    assert siegel_transform_box(P11, lat, 1) == 10
+    with pytest.raises(ValidationError):  # [e^-1, 1) holds no nonzero integer q
+        siegel_transform_box(P11, lat, -1)
 
 
 def test_siegel_box_requires_provenance():
     bare = UnimodularLattice(np.eye(2))
-    cell = WeightedBoxFunction.counting_cell(P11)
     with pytest.raises(ValidationError, match="provenance"):
-        siegel_transform_box(cell, bare, 0)
+        siegel_transform_box(P11, bare, 0)
     flowed = apply_flow(lattice_from_u(P11, MatrixU(np.zeros((1, 1)))), 1, P11)
     with pytest.raises(ValidationError, match="unflowed"):
-        siegel_transform_box(cell, flowed, 0)
+        siegel_transform_box(P11, flowed, 0)
 
 
 def test_tessellation_identity_n1():
     rng = np.random.default_rng(7)
-    cell = WeightedBoxFunction.counting_cell(P21)
     for _ in range(5):
         u = MatrixU(rng.random((2, 1)))
         lat = lattice_from_u(P21, u)
         for s in range(7):
-            assert siegel_transform_box(cell, lat, s) == CountingKernel(P21, s, s + 1).block_counts(u)[0]
+            assert siegel_transform_box(P21, lat, s) == CountingKernel(P21, s, s + 1).block_counts(u)[0]
 
 
 @pytest.mark.parametrize(
@@ -98,13 +96,27 @@ def test_tessellation_identity_n1():
 )
 def test_tessellation_identity_n2(prob):
     rng = np.random.default_rng(13)
-    cell = WeightedBoxFunction.counting_cell(prob)
     for _ in range(2):
         u = MatrixU(rng.random((prob.m, prob.n)))
         lat = lattice_from_u(prob, u)
         for s in range(4):
-            got = siegel_transform_box(cell, lat, s, norm=prob.norm)
+            got = siegel_transform_box(prob, lat, s)
             assert got == CountingKernel(prob, s, s + 1).block_counts(u)[0]
+
+
+def test_siegel_box_counts_in_the_problem_norm():
+    # the cell takes its norm from the problem: Euclidean shells, no norm argument
+    p22e = validate(
+        ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.7), norm=Norm.EUCLIDEAN)
+    )
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        u = MatrixU(rng.random((2, 2)))
+        lat = lattice_from_u(p22e, u)
+        for s in (0, 1, 2):
+            want = brute_force_block(p22e, u, s)
+            assert siegel_transform_box(p22e, lat, s) == want
+            assert truncated_siegel(p22e, lat, 1e9, s=s) == want
 
 
 def _points_oracle(box, lat):
@@ -390,28 +402,26 @@ def test_alpha_uncertified_above_five():
 
 
 def test_truncated_siegel():
-    cell = WeightedBoxFunction.counting_cell(P11)
     lat = lattice_from_u(P11, MatrixU(np.zeros((1, 1))))
-    assert truncated_siegel(cell, lat, 1.0, s=0) == 4.0  # alpha(Z^2) = 1 <= L
+    assert truncated_siegel(P11, lat, 1.0, s=0) == 4.0  # alpha(Z^2) = 1 <= L
     skew = UnimodularLattice(np.diag([math.e, 1 / math.e]), provenance=None)
     assert truncated_siegel([(-1.0, 1.0), (-1.0, 1.0)], skew, 2.0, s=0) == 0.0  # alpha = e > 2
     # points (0, +-1/e) and (0, +-2/e) lie in the box once the cutoff admits alpha = e
     assert truncated_siegel([(-1.0, 1.0), (-1.0, 1.0)], skew, 3.0, s=0) == 4.0
     with pytest.raises(ValidationError):
-        truncated_siegel(cell, lat, 0.5, s=0)
+        truncated_siegel(P11, lat, 0.5, s=0)
 
 
 def test_truncated_matches_plain_at_large_L():
     # at L = 100 the truncation should not bite on at least 99% of samples
     rng = np.random.default_rng(21)
-    cell = WeightedBoxFunction.counting_cell(P21)
     agree = 0
     total = 2000
     for _ in range(total):
         u = MatrixU(rng.random((2, 1)))
         lat = lattice_from_u(P21, u)
-        full = float(siegel_transform_box(cell, lat, 0))
-        trunc = truncated_siegel(cell, lat, 100.0, s=0)
+        full = float(siegel_transform_box(P21, lat, 0))
+        trunc = truncated_siegel(P21, lat, 100.0, s=0)
         agree += trunc == full
     assert agree / total >= 0.99
 
@@ -419,13 +429,12 @@ def test_truncated_matches_plain_at_large_L():
 def test_growth_bound_alpha():
     # pilot fit of f_hat <= K * alpha, then assert with safety factor 2
     rng = np.random.default_rng(33)
-    cell = WeightedBoxFunction.counting_cell(P21)
 
     def ratio(idx_rng):
         u = MatrixU(idx_rng.random((2, 1)))
         lat = lattice_from_u(P21, u)
         s = int(idx_rng.integers(0, 6))
-        val = siegel_transform_box(cell, lat, s)
+        val = siegel_transform_box(P21, lat, s)
         a = alpha(apply_flow(lat, s, P21))
         return val / a
 

@@ -7,7 +7,6 @@ from diophlab.errors import ValidationError
 from diophlab.problem import (
     ApproximationProblem,
     Norm,
-    WeightedBoxFunction,
     domain_volume,
     omega_n,
     unit_ball_volume,
@@ -69,13 +68,3 @@ def test_domain_volume_examples():
     assert domain_volume(p, 1.0) == 0.0
     p2 = validate(ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1, 1)))
     assert domain_volume(p2, math.e) == pytest.approx(8.0, rel=1e-14)
-
-
-def test_box_function_validation():
-    with pytest.raises(ValidationError):
-        WeightedBoxFunction(upsilon1=2.0, upsilon2=1.0, thetas=(1,), weights=(1,))
-    cell = WeightedBoxFunction.counting_cell(
-        validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(0.5,)))
-    )
-    assert cell.lower_closed and not cell.upper_closed
-    assert cell.upsilon1 == 1.0 and cell.upsilon2 == math.e
