@@ -246,14 +246,14 @@ def per_q_product_counts(
     u: MatrixU,
     q_int: np.ndarray,
     radii: np.ndarray,
-    rho: np.ndarray | None = None,
+    rho: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The q with a nonzero prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}.
 
     ``q_int`` is an (n, K) integer array and ``radii`` its integer radius keys
-    (see ``squared_radii``); ``rho`` may carry the precomputed
-    ``interval_radii``.  Returns ``(cols, counts)``: the ascending columns
-    with a nonzero product, and their int64 products.
+    (see ``squared_radii``), and ``rho`` their ``interval_radii``.  Returns
+    ``(cols, counts)``: the ascending columns with a nonzero product, and
+    their int64 products.
 
     Candidates first.  Form 0 runs on every column of a chunk, as
     gap = ||<u_0, q>|| - rho_0.  The candidates are the q with gap <= err_0,
@@ -285,7 +285,7 @@ def per_q_product_counts(
     cols, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for start in range(0, q_int.shape[1], _CHUNK):
         q, keys = q_int[:, start : start + _CHUNK], radii[start : start + _CHUNK]
-        rho_c = interval_radii(problem, keys) if rho is None else rho[:, start : start + _CHUNK]
+        rho_c = rho[:, start : start + _CHUNK]
         key = int(keys.max())
         l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the chunk
         live = slice(None)  # form 0 runs on every column

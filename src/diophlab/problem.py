@@ -35,7 +35,10 @@ def _as_fraction(w) -> Fraction:
     if isinstance(w, int):
         return Fraction(w)
     if isinstance(w, str):
-        return Fraction(w)
+        try:
+            return Fraction(w)
+        except ZeroDivisionError as exc:
+            raise ValidationError(f"weight {w!r} has a zero denominator") from exc
     if isinstance(w, float):
         # doubles are exact dyadic rationals
         return Fraction(w)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,7 +167,8 @@ def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
     assert not (tmp_path / "results.csv").exists()
 
 
-# (subcommand, setting, value): each ended in a TypeError deep in the run
+# (subcommand, setting, value): each ended in a TypeError deep in the run,
+# or in a ZeroDivisionError for the weight 1/0
 WRONG_TYPES = [
     ("lln", "samples", "10"),
     ("count", "logT", "7"),
@@ -175,6 +177,7 @@ WRONG_TYPES = [
     ("clt", "workers", "2"),
     ("covariance", "lags", 3),
     ("alpha-tail", "kappa", "x"),
+    ("count", "weights", ["1/0", "1/2"]),
 ]
 
 
@@ -192,6 +195,8 @@ WRONG_TYPES = [
         ["count", "--config", "{tmp}/list.json"],
         ["count", "--config", "{tmp}/string.json"],
         *([sub, "--config", "{tmp}/" + key + ".json"] for sub, key, _ in WRONG_TYPES),
+        ["count", "--weights", "1/0,1/2"],
+        ["alpha-tail", "--kappa", "-1"],
     ],
 )
 def test_bad_number_u_or_config_is_usage_error(tmp_path, argv):
@@ -274,8 +279,34 @@ def test_cli_import_leaves_scipy_out():
 def test_every_setting_has_a_type_check():
     from diophlab import cli
 
-    checked = set(cli._SETTING_TYPES) | set(cli._LIST_TYPES)
-    assert checked == {f.name for f in dataclasses.fields(cli.CliConfig)} - {"subcommand"}
+    assert set(cli._SETTINGS) == {f.name for f in dataclasses.fields(cli.CliConfig)} - {"subcommand"}
+    for f in cli._SETTINGS.values():
+        kinds = f.metadata["kinds"]
+        assert kinds and all(isinstance(k, type) for k in kinds), f.name
+        assert set(f.metadata["only"]) <= set(cli._SUBCOMMANDS), f.name
+
+
+COMMON_FLAGS = {
+    "--help", "--config", "--m", "--n", "--weights", "--thetas", "--norm", "--logT", "--T",
+    "--samples", "--seed", "--workers", "--out-dir", "--convention",
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, extra",
+    [
+        ("count", {"--u"}),
+        ("lln", {"--n-grid"}),
+        ("clt", set()),
+        ("covariance", {"--lags", "--t-base"}),
+        ("alpha-tail", {"--L-grid", "--kappa"}),
+        ("variance", {"--lags"}),
+        ("selftest", {"--fast", "--inject-fault"}),
+    ],
+)
+def test_help_lists_each_subcommands_flags(capsys, subcommand, extra):
+    assert main([subcommand, "--help"]) == 0
+    assert set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)) == COMMON_FLAGS | extra
 
 
 def test_cli_import_leaves_mpmath_out():
@@ -317,6 +348,14 @@ def test_variance_subcommand(tmp_path, capsys):
     assert record["C"] == pytest.approx(8.0)
     assert record["sigma2"] == pytest.approx(2.0 * record["C"] * record["zeta_ratio"], rel=1e-12)
     assert len(record["theta_table"]) == 4
+
+
+def test_variance_at_a_huge_lag_is_zero(tmp_path, capsys):
+    # e^800 overflows a float; the grid cap holds from |s| = 7, and the band p ~ e^s q is empty
+    argv = ["variance", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--lags", "800"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["theta_table"] == [[800, 0.0]]
+    assert (tmp_path / "results.csv").read_text().splitlines()[2] == "800,0.0"
 
 
 def test_selftest_fast_passes():

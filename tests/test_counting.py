@@ -203,7 +203,7 @@ def test_candidate_filter_matches_brute_force(monkeypatch, problem, N, chunk):
     for u in us:
         want = [brute_force_block(problem, u, s) for s in range(N)]
         assert kernel.block_counts(u).tolist() == want
-        cols, counts = counting.per_q_product_counts(problem, u, kernel.q_int, kernel.radii)
+        cols, counts = counting.per_q_product_counts(problem, u, kernel.q_int, kernel.radii, kernel.rho)
         assert np.all(np.diff(cols) > 0) and np.all(counts != 0)
         assert 2 * int(counts.sum()) == sum(want)
 

@@ -120,7 +120,28 @@ def test_run_lln_single_sample_inconclusive():
     cfg = ExperimentConfig(problem=P21, samples=1, seed=1, n_grid=(4, 5))
     res = run_lln(cfg)
     assert res.verdict.startswith("inconclusive")
-    assert not res.flat
+    assert not res.flat and not res.passed
+
+
+def test_run_lln_and_siegel_mean_for_m_plus_n_2():
+    # (1,1), theta = 1/2: q = 1..ceil(e^N)-1, both signs of q, 2 theta / q integers p
+    # on average, so E[Delta_{e^N}] = 4 theta H_{ceil(e^N)-1}; sigma2 does not exist here
+    p11 = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(0.5,)))
+    res = run_lln(ExperimentConfig(problem=p11, samples=50, seed=2, n_grid=(2, 3)))
+    for r in res.rows:
+        exact = 4 * 0.5 * math.fsum(1.0 / q for q in range(1, math.ceil(math.exp(r.N))))
+        assert r.mean_finite_theory == pytest.approx(exact, rel=1e-12)
+    assert res.rows[1].mean_finite_theory == pytest.approx(7.195, abs=1e-3)
+    assert run_siegel_mean(ExperimentConfig(problem=p11, samples=20, seed=2), s_list=(2,))[0].theory == 2.0
+
+
+def test_verdict_names_the_failed_check():
+    # the CLI exits 1 on these runs; their verdict must not read as a pass
+    lln = run_lln(ExperimentConfig(problem=P21, samples=60, seed=4))
+    assert not lln.passed and "gaps not flat" in lln.verdict and "finite-T mean" in lln.verdict
+    clt = run_clt(ExperimentConfig(problem=P21, N=6, samples=60))
+    assert not clt.passed
+    assert clt.verdict.startswith("KS distance 0.312 above 0.07") and "variance 5.52" in clt.verdict
 
 
 def test_run_clt_fields_and_m1():
@@ -133,7 +154,7 @@ def test_run_clt_fields_and_m1():
 
     p12 = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.7,)))
     res12 = run_clt(ExperimentConfig(problem=p12, N=4, samples=60, seed=3))
-    assert res12.verdict == "theory comparison unavailable (m = 1)"
+    assert res12.verdict == "theory comparison unavailable (m = 1)" and res12.passed
 
 
 def test_run_covariance_small():
@@ -201,6 +222,8 @@ def test_experiment_config_validation():
         {"L_grid": (math.inf,)},
         {"kappa": math.nan},
         {"kappa": math.inf},
+        {"kappa": 0.0},
+        {"kappa": -1.0},
     ):
         with pytest.raises(ValidationError):
             ExperimentConfig(problem=P21, **bad)
