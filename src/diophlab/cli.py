@@ -281,7 +281,7 @@ def _cmd_clt(cfg: CliConfig) -> int:
         "verdict": res.verdict,
         "trace": [dataclasses.asdict(t) for t in res.trace],
         "factor2_diagnostic": res.factor2,
-        "theory": dataclasses.asdict(theory.constants(exp.problem)),
+        "theory": dataclasses.asdict(theory.constants(exp.problem)) if exp.problem.dimension >= 3 else None,
         "caveat": f"fixed-seed run (seed={cfg.seed}); convergence in T is slow and unquantified",
     }
     emit_results(summary, rows, ("index", "Delta", "D_T"), cfg.out_dir, plot_sigma2=res.sigma2_theory)

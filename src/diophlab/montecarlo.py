@@ -3,19 +3,21 @@
 Reproducibility contract: sample u_k is drawn from its own counter-based
 stream keyed by (seed, k), so the sample set depends only on (seed, S) and
 never on the worker count or schedule; per-sample outputs are stored by
-index and reduced in a single fixed-order pass.
+index and reduced in a single fixed-order pass.  With ``workers > 1`` the
+samples are counted in forked worker processes over contiguous index ranges,
+at most one process per usable CPU.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from diophlab.counting import Convention, CountingKernel, MatrixU
-from diophlab.errors import ValidationError
+from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import alpha, apply_flow, lattice_from_u
 from diophlab.problem import ApproximationProblem, mean_constant
 from diophlab import theory
@@ -101,15 +103,62 @@ def sample_u_at(seed: int, index: int, m: int, n: int) -> MatrixU:
     return sample_u(u_stream(seed, index), m, n)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# the task of a forked worker process, set once by ``_adopt_task``
+_TASK = None
+
+
+def _adopt_task(fn) -> None:
+    global _TASK
+    _TASK = fn
+
+
+def _run_range(start: int, stop: int) -> list:
+    return [_TASK(i) for i in range(start, stop)]
+
+
 def _map_indexed(fn, count: int, workers: int):
-    """fn(i) for i in range(count), order-stable, optionally threaded."""
-    if workers <= 1 or count < 4:
+    """fn(i) for i in range(count), order-stable, over forked worker processes.
+
+    ``fn`` (a closure over a built kernel or lattice) reaches the workers
+    through the fork; only index ranges and the returned values are pickled.
+    The pool has at most one process per usable CPU, and without the ``fork``
+    start method the samples run serially.  On a failure the ranges not yet
+    started are cancelled and every worker is joined before the error leaves.
+    """
+    procs = min(workers, _usable_cpus())
+    if procs <= 1 or count < 4 or not hasattr(os, "fork"):
         return [fn(i) for i in range(count)]
-    out = [None] * count
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, val in zip(range(count), pool.map(fn, range(count))):
-            out[i] = val
-    return out
+    # imported here, so that a serial run does not pay ~20 ms for them at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    n_ranges = min(count, 4 * procs)
+    bounds = [count * j // n_ranges for j in range(n_ranges + 1)]
+    pool = ProcessPoolExecutor(
+        max_workers=min(procs, n_ranges),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_task,
+        initargs=(fn,),
+    )
+    try:
+        futures = [pool.submit(_run_range, a, b) for a, b in zip(bounds, bounds[1:])]
+        for f in as_completed(futures):
+            f.result()  # raises the first failure; the finally cancels the ranges not yet started
+        return [value for f in futures for value in f.result()]
+    except BrokenProcessPool as exc:
+        raise CapExceededError(
+            "a worker process ended abruptly (for example, killed when memory ran out)"
+        ) from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +345,15 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
     """Normalized counts D_{e^N} for the seeded sample set, with summaries.
 
     ``trace_N`` adds per-N summary rows (the same samples, truncated at
-    smaller T = e^N) for convergence diagnostics.  For n = 1 the result also
-    carries the factor-2 diagnostic comparing the variance of the positive-q
-    normalization with both candidate constants.  The run passes when there
+    smaller T = e^N) for convergence diagnostics.  For n = 1 and m + n >= 3
+    the result also carries the factor-2 diagnostic comparing the variance of
+    the positive-q normalization with both candidate constants.  The run passes when there
     is no sigma2 to compare with (m = 1), or when the KS distance is at most
     ``clt_ks`` and the variance lies within ``clt_var_rel`` * sigma2 of sigma2.
     """
-    consts = theory.constants(config.problem)  # raises for m + n < 3
-    C = consts.C
+    C = mean_constant(config.problem)
+    # sigma2 and zeta_ratio need m + n >= 3; at m + n = 2 the run has m = 1
+    consts = theory.constants(config.problem) if config.problem.dimension >= 3 else None
     sigma2 = consts.sigma2 if config.problem.m >= 2 else None
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, config.N))
     totals = blocks.sum(axis=1)
@@ -335,7 +385,7 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
         trace.append(CltTraceRow(N=N, variance=s.variance, cum3=s.cum3, cum4=s.cum4, ks=s.ks_distance))
 
     factor2 = None
-    if config.problem.n == 1 and config.convention is Convention.BOTH_SIGNS:
+    if consts is not None and config.problem.n == 1 and config.convention is Convention.BOTH_SIGNS:
         # positive-q normalization: Delta_pos = Delta/2 exactly, C_m = C/2
         D_vec = (totals / 2.0 - (C / 2.0) * config.N) / math.sqrt(config.N)
         var_vec = float(np.var(D_vec))

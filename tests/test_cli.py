@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,36 @@ def test_lln_statistical_verdict_exit_code(tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_clt_at_m_plus_n_2_has_no_sigma2(tmp_path, capsys):
+    argv = ["clt", "--m", "1", "--n", "1", "--weights", "1", "--thetas", "0.5", "--logT", "4", "--samples", "20"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["verdict"] == "theory comparison unavailable (m = 1)"
+    assert summary["sigma2_theory"] is None and summary["factor2_diagnostic"] is None
+
+
+def test_killed_worker_exits_3(tmp_path, monkeypatch, capsys):
+    from diophlab import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def killed(lattice):
+        if os.getpid() != parent:  # never the test process itself
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 1.0
+
+    monkeypatch.setattr(montecarlo, "alpha", killed)
+    argv = [
+        "alpha-tail",
+        "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1",
+        "--L-grid", "2", "--kappa", "2", "--samples", "8", "--workers", "2",
+        "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 3
+    assert "cap exceeded: a worker process ended abruptly" in capsys.readouterr().err
 
 
 def test_variance_subcommand(tmp_path, capsys):

@@ -1,11 +1,16 @@
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from diophlab import theory
-from diophlab.errors import ValidationError
+from diophlab import montecarlo, theory
+from diophlab.cli import main
+from diophlab.errors import CapExceededError, ValidationError
 from diophlab.montecarlo import (
     ExperimentConfig,
     normal_cdf,
@@ -46,14 +51,86 @@ def test_sample_u_streams_do_not_collide():
         seen.add(key)
 
 
-def test_worker_count_does_not_change_results():
-    cfg1 = ExperimentConfig(problem=P21, N=6, samples=60, seed=9, workers=1)
-    cfg3 = ExperimentConfig(problem=P21, N=6, samples=60, seed=9, workers=3)
-    r1 = run_clt(cfg1)
-    r3 = run_clt(cfg3)
-    assert np.array_equal(r1.delta, r3.delta)
-    assert np.array_equal(r1.samples, r3.samples)
-    assert r1.stats == r3.stats
+P21_FLAGS = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--logT", "6", "--samples", "60", "--seed", "9"],
+        ["lln", "--n-grid", "4,5,6", "--samples", "60", "--seed", "9"],
+        ["covariance", "--logT", "5", "--t-base", "2", "--lags", "0,1", "--samples", "60", "--seed", "9"],
+        ["alpha-tail", "--L-grid", "2,4", "--kappa", "2", "--samples", "60", "--seed", "9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_worker_count_does_not_change_results(tmp_path, monkeypatch, argv):
+    # two usable CPUs, so that --workers 2 runs the process pool on any machine
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    csv = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        main([argv[0], *P21_FLAGS, *argv[1:], "--workers", workers, "--out-dir", str(out)])
+        csv.append((out / "results.csv").read_bytes())
+    assert csv[0] == csv[1] and csv[0].count(b"\n") > 2
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_size_is_capped_by_usable_cpus(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size and runs each range in this process."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo, "_TASK", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert montecarlo._map_indexed(lambda i: i * i, 50, 10**6) == [i * i for i in range(50)]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert montecarlo._map_indexed(lambda i: -i, 5, 10**6) == [-i for i in range(5)]
+    assert sizes == [3, 2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [CapExceededError, ValidationError])
+def test_worker_error_reaches_the_caller(monkeypatch, error):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+    def fn(i):
+        if i == 7:
+            raise error(f"sample {i} refused")
+        return i
+
+    with pytest.raises(error, match="^sample 7 refused$"):
+        montecarlo._map_indexed(fn, 40, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_killed_worker_is_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fn(i):
+        if i == 7 and os.getpid() != parent:  # never the test process itself
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    with pytest.raises(CapExceededError, match="ended abruptly"):
+        montecarlo._map_indexed(fn, 40, 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_normal_cdf():
