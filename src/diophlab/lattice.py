@@ -74,15 +74,31 @@ def apply_flow(lat: UnimodularLattice, s: int, problem: ApproximationProblem) ->
     """Scale the first m coordinates by e^{w_i s} and the last n by e^{-s}.
 
     ``problem`` supplies the flow exponents (w_1, ..., w_m, -1, ..., -1);
-    negative s runs the flow backwards.
+    negative s runs the flow backwards.  A lattice with (u, s0) provenance is
+    refused at flow times s0 + s beyond :func:`check_flow_time`.
     """
-    flow = np.diag([math.exp(float(w) * s) for w in problem.weights] + [math.exp(-s)] * problem.n)
-    new_basis = flow @ lat.basis
     prov = None
     if lat.provenance is not None:
         u, s0 = lat.provenance
+        check_flow_time(problem, s0 + s, "a^s Lambda_u")
         prov = (u, s0 + s)
-    return UnimodularLattice(basis=new_basis, provenance=prov)
+    flow = np.diag([math.exp(float(w) * s) for w in problem.weights] + [math.exp(-s)] * problem.n)
+    return UnimodularLattice(basis=flow @ lat.basis, provenance=prov)
+
+
+def check_flow_time(problem: ApproximationProblem, s: int, what: str) -> None:
+    """Refuse a flow time s at which the float basis no longer holds a^s Lambda_u.
+
+    Its short vectors (|q| ~ e^s) carry a rounding error near
+    e^{(1 + max w) s} 2^-53 in p + <u_i, q>; above 2^-26, i.e. for
+    (1 + max w) s > 27 ln 2, ValidationError names ``what`` and s.
+    """
+    growth = 1 + max(problem.weights_float())
+    if growth * s > 27 * math.log(2):
+        raise ValidationError(
+            f"{what} needs flow time s={s}, where the float basis no longer holds the lattice "
+            f"((1 + max w) s = {growth * s:.4g} > 27 ln 2)"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from diophlab.counting import Convention, CountingKernel, MatrixU
 from diophlab.errors import CapExceededError, ValidationError
-from diophlab.lattice import alpha, apply_flow, lattice_from_u
+from diophlab.lattice import alpha, apply_flow, check_flow_time, lattice_from_u
 from diophlab.problem import ApproximationProblem, mean_constant
 from diophlab import theory
 
@@ -454,8 +454,7 @@ def run_covariance(config: ExperimentConfig) -> CovarianceResult:
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, N))
     consts = theory.constants(config.problem)
     nsig = THRESHOLDS["cov_nsigma"]
-    # one Theta_inf per distinct |s|, ascending, so that lags sharing a Pmax
-    # reuse theory's one-entry weight-grid cache
+    # one Theta_inf per distinct |s|, ascending
     distinct = sorted({abs(s) for s in lags} | set(range(config.N)))
     theta = {a: _theta_for_lag(config.problem, a) for a in distinct}
 
@@ -504,23 +503,18 @@ class TailRow:
 def run_alpha_tail(config: ExperimentConfig):
     """Empirical P(alpha(a^s Lambda_u) >= L) at s = ceil(kappa log L).
 
-    The float basis of a^s Lambda_u rounds p + <u_i, q> for its short vectors
-    (|q| ~ e^s) with an error near e^{(1 + max w) s} 2^-53, so flow times that
-    push it above 2^-26 are refused before any sample runs.
+    Flow times that ``lattice.check_flow_time`` refuses (the float basis of
+    a^s Lambda_u no longer holds the lattice) are refused before any sample
+    runs.
     """
     if config.problem.dimension > 5:
         raise ValidationError("alpha tails need dimension <= 5 (certified alpha)")
     m, n = config.problem.m, config.problem.n
     factor = THRESHOLDS["tail_factor"]
     exponent = THRESHOLDS["tail_exponent"]
-    growth = 1 + max(config.problem.weights_float())
     flow_times = [int(math.ceil(config.kappa * math.log(L))) if L > 1 else 0 for L in config.L_grid]
     for L, s in zip(config.L_grid, flow_times):
-        if growth * s > 27 * math.log(2):
-            raise ValidationError(
-                f"L={L:g} needs flow time s={s}, where the float basis no longer holds the lattice "
-                f"((1 + max w) s = {growth * s:.4g} > 27 ln 2)"
-            )
+        check_flow_time(config.problem, s, f"L={L:g}")
 
     rows = []
     for L, s in zip(config.L_grid, flow_times):

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from diophlab.counting import enumeration_cap
+from diophlab.counting import _CHUNK, enumeration_cap
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, mean_constant, omega_n
 
@@ -137,31 +136,19 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
         np.subtract(hi, lo, out=hi)
         return np.clip(hi, 0.0, None, out=hi)
 
-    return _pq_grid_sum(problem, Pmax, overlap)
+    return _pq_grid_sum(problem, Pmax, overlap, s - 1, s + 1)
 
 
-@lru_cache(maxsize=1)
-def _pq_weights(d: int, Pmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """log k for k = 1..Pmax and the (Pmax, Pmax) grid max(p, q)^{-d}, read-only.
-
-    Every lag of one covariance run shares (d, Pmax), so the grid is built
-    once; entry (p, q) is the float k^{-d} at k = max(p, q).
-    """
-    ks = np.arange(1, Pmax + 1, dtype=np.float64)
-    logs = np.log(ks)
-    idx = np.arange(Pmax)
-    weight = (ks ** (-float(d)))[np.maximum.outer(idx, idx)]
-    logs.setflags(write=False)
-    weight.setflags(write=False)
-    return logs, weight
-
-
-def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window) -> float:
+def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window, x_lo: float, x_hi: float) -> float:
     """2 zeta(d)^{-1} C sum_{p,q <= Pmax} max(p,q)^{-d} window(log p, log q).
 
-    ``window(log_p, log_q, a, b)`` gets the (Pmax, 1) column of log p, the
-    (1, Pmax) row of log q and two (Pmax, Pmax) scratch buffers, and returns
-    one of the buffers holding the log-radial weight of each (p, q) pair.
+    ``window(log_p, log_q, a, b)`` gets a column of log p, a row of log q and
+    two scratch buffers of their broadcast shape, and returns one of the
+    buffers holding the log-radial weight of each (p, q) pair.  The window
+    must be +0.0 unless x_lo < log(p/q) < x_hi, so only that band is
+    evaluated, in row slabs of about ``_CHUNK`` pairs, into a zeroed
+    (Pmax, Pmax) grid; one ``np.sum`` of the grid then gives the same float as
+    the window evaluated on the whole grid.
     Raises CapExceededError when the Pmax^2 pairs exceed the enumeration cap.
     """
     cap = enumeration_cap()
@@ -169,9 +156,33 @@ def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window) -> float:
         raise CapExceededError(f"(p, q)-grid of {Pmax * Pmax} pairs > cap {cap} (set DIOPH_CAP to raise)")
     d = problem.m + problem.n
     pref = 2.0 / zeta(float(d)) * mean_constant(problem)
-    logs, weight = _pq_weights(d, Pmax)
-    out = window(logs[:, None], logs[None, :], np.empty_like(weight), np.empty_like(weight))
-    return pref * float(np.sum(np.multiply(weight, out, out=out)))
+    ks = np.arange(1, Pmax + 1, dtype=np.float64)
+    logs = np.log(ks)
+    k_pow = ks ** (-float(d))  # decreasing, so min(p^-d, q^-d) is the float max(p, q)^-d
+    # row p of the band holds the columns q in (p e^{-x_hi}, p e^{-x_lo}), taken
+    # one column wider on each side.  Exponents are clamped to +-lim, past
+    # which every bound clips the same, and the bounds are clipped to [0, Pmax]
+    # in float before the int cast, so no lag or S overflows
+    lim = math.log(Pmax) + 2.0
+    q_lo, q_hi = (ks * math.exp(min(max(-x, -lim), lim)) for x in (x_hi, x_lo))
+    c_lo = np.clip(np.floor(q_lo) - 1.0, 0, Pmax).astype(np.int64)
+    c_hi = np.clip(np.ceil(q_hi) + 1.0, 0, Pmax).astype(np.int64)
+    grid = np.zeros((Pmax, Pmax))
+    # the rows with columns form a prefix, since c_lo only grows; an empty band has none
+    r = 0
+    r_end = int(np.count_nonzero(c_lo < c_hi)) if x_lo < x_hi else 0
+    while r < r_end:
+        # as many rows as keep the slab's rectangle within _CHUNK pairs (at least
+        # one); row r's width alone bounds how many rows can fit
+        n = min(r_end - r, _CHUNK // (c_hi[r] - c_lo[r]) + 1)
+        area = np.arange(1, n + 1) * (c_hi[r:r + n] - c_lo[r])
+        r1 = r + max(1, int(np.searchsorted(area, _CHUNK, side="right")))
+        c0, c1 = c_lo[r], c_hi[r1 - 1]
+        a = np.empty((r1 - r, c1 - c0))
+        out = window(logs[r:r1, None], logs[None, c0:c1], a, np.empty_like(a))
+        np.multiply(np.minimum.outer(k_pow[r:r1], k_pow[c0:c1]), out, out=grid[r:r1, c0:c1])
+        r = r1
+    return pref * float(np.sum(grid))
 
 
 def theta_infinity_numeric(
@@ -259,7 +270,7 @@ def sigma2_series(problem: ApproximationProblem, S: int, Pmax: int) -> float:
         np.subtract(hi, diff, out=hi)
         return np.clip(hi, 0.0, 1.0, out=hi)
 
-    return _pq_grid_sum(problem, Pmax, coverage)
+    return _pq_grid_sum(problem, Pmax, coverage, -S - 1, S + 1)
 
 
 def max_pq_partial_sum(d: int, P: int) -> float:

@@ -59,6 +59,28 @@ def test_flow_exponents_and_group_law():
     assert apply_flow(lat, 2, P21).provenance[1] == 2
 
 
+def test_flow_refuses_times_beyond_float_precision():
+    # past (1 + max w) s = 27 ln 2 the float basis rounds p + <u_i, q> of the
+    # short vectors beyond 2^-26, so alpha and truncated_siegel would measure
+    # another lattice: (1,3) at s = 9 has (1 + 3) 9 = 36 > 18.7
+    rng = np.random.default_rng(3)
+    p13 = validate(ApproximationProblem(m=1, n=3, weights=(3,), thetas=(1.0,)))
+    lat = lattice_from_u(p13, MatrixU(rng.random((1, 3))))
+    with pytest.raises(ValidationError, match="s=9"):
+        apply_flow(lat, 9, p13)
+    with pytest.raises(ValidationError, match="s=9"):  # s0 = 4 from the provenance, plus 5
+        apply_flow(apply_flow(lat, 4, p13), 5, p13)
+    with pytest.raises(ValidationError, match="s=9"):
+        truncated_siegel(p13, lat, 2.0, 9)
+    # (2,2) at s = 9 and (1,2) at s = 6 have (1 + max w) s = 18 <= 18.7 and still run
+    p22 = validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.0)))
+    p12 = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(1.0,)))
+    for prob, s in ((p22, 9), (p12, 6)):
+        flowed = apply_flow(lattice_from_u(prob, MatrixU(rng.random((prob.m, prob.n)))), s, prob)
+        assert flowed.provenance[1] == s
+        assert alpha(flowed) >= 1.0
+
+
 def test_siegel_box_examples():
     lat = lattice_from_u(P11, MatrixU(np.zeros((1, 1))))
     assert siegel_transform_box(P11, lat, 0) == 4

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -96,14 +98,20 @@ def test_theta_requires_dimension():
         theta_infinity(p, 0, 100)
 
 
+@functools.lru_cache(maxsize=1)
+def _reference_weight(d, Pmax):
+    # max(p, q)^-d on the whole grid; kept for the next call, since the band
+    # test runs every lag of one (d, Pmax) in a row
+    pq = np.arange(1, Pmax + 1, dtype=np.float64)
+    return np.maximum(pq[:, None], pq[None, :]) ** (-float(d))
+
+
 def _reference_grid_sum(prob, Pmax, window):
-    # the plain whole-grid expression: fresh weight grid, no buffers, no cache
+    # the plain whole-grid expression: window and weight on every (p, q) pair
     d = prob.m + prob.n
     pref = 2.0 / zeta(float(d)) * mean_constant(prob)
     logs = np.log(np.arange(1, Pmax + 1, dtype=np.float64))
-    pq = np.arange(1, Pmax + 1, dtype=np.float64)
-    weight = np.maximum(pq[:, None], pq[None, :]) ** (-float(d))
-    return pref * float(np.sum(weight * window(logs[:, None], logs[None, :])))
+    return pref * float(np.sum(_reference_weight(d, Pmax) * window(logs[:, None], logs[None, :])))
 
 
 def _reference_theta(prob, s, Pmax):
@@ -123,32 +131,60 @@ def _reference_sigma2(prob, S, Pmax):
     return _reference_grid_sum(prob, Pmax, coverage)
 
 
-def test_cached_grid_sums_equal_the_whole_grid_expression():
-    # Pmax interleaved across d = 3 and 4, so the one-entry cache hits,
-    # misses and evicts; every value must be the same float
-    theory._pq_weights.cache_clear()
-    for Pmax in (7, 600, 1, 2000, 7, 600):
+def test_band_grid_sums_equal_the_whole_grid_expression():
+    # only the band where the window is nonzero is evaluated; every value must
+    # still be the same float as the whole-grid expression, also for lags whose
+    # band leaves the grid (|s| = 40, S = 40) and for grids of 1 to 3 rows
+    for Pmax in (7, 600, 1, 2000, 2, 3, 3000):
         for prob in (P21, P22):
-            for s in (-2, 0, 1, 5, 40):
+            for s in (-40, -9, -2, -1, 0, 1, 2, 3, 5, 6, 7, 8, 40):
                 assert theta_infinity(prob, s, Pmax) == _reference_theta(prob, s, Pmax)
-            for S in (0, 3, 9):
+            for S in (0, 3, 9, 40):
                 assert sigma2_series(prob, S, Pmax) == _reference_sigma2(prob, S, Pmax)
-    info = theory._pq_weights.cache_info()
-    assert info.hits > 0 and info.misses == 12 and info.currsize == 1
-    logs, weight = theory._pq_weights(4, 600)
-    assert not logs.flags.writeable and not weight.flags.writeable
-    assert weight.shape == (600, 600)
+    _reference_weight.cache_clear()
+    # an empty band sums to +0.0, the value variance --lags 800 writes
+    for s in (800, -800, 40):
+        value = theta_infinity(P22, s, 2000)
+        assert repr(value) == "0.0" and math.copysign(1.0, value) == 1.0
+
+
+def test_band_slabs_match_any_chunk_size(monkeypatch):
+    # single-row slabs (a row wider than _CHUNK) and whole-grid slabs give the same floats
+    for chunk in (1, 7, 10**9):
+        monkeypatch.setattr(theory, "_CHUNK", chunk)
+        for s in (-3, 0, 2, 6):
+            assert theta_infinity(P22, s, 300) == _reference_theta(P22, s, 300)
+        assert sigma2_series(P21, 3, 300) == _reference_sigma2(P21, 3, 300)
 
 
 def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
     monkeypatch.setenv("DIOPH_CAP", "100")
-    theory._pq_weights.cache_clear()
-    with pytest.raises(CapExceededError):
-        theta_infinity(P22, 1, 11)  # 121 pairs
-    with pytest.raises(CapExceededError):
-        sigma2_series(P21, 2, 11)
-    assert theory._pq_weights.cache_info().misses == 0  # refused before any grid
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            theta_infinity(P22, 1, 11)  # 121 pairs
+        with pytest.raises(CapExceededError):
+            sigma2_series(P21, 2, 11)
+        with pytest.raises(CapExceededError):
+            theta_infinity(P22, 0, 2000)  # its grid alone would take 32 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # refused before any grid
     assert theta_infinity(P22, 0, 10) == _reference_theta(P22, 0, 10)
+
+
+def test_theta_peak_memory_is_one_grid():
+    # the zeroed (Pmax, Pmax) grid plus slab-sized temporaries: no weight grid
+    # and no full-size scratch buffers
+    Pmax = 2000
+    tracemalloc.start()
+    try:
+        theta_infinity(P22, 0, Pmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 8 * Pmax * Pmax
 
 
 def test_max_pq_partial_sum_tail():
