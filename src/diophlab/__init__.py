@@ -27,7 +27,6 @@ from diophlab.lattice import (
     apply_flow,
     lattice_from_u,
     siegel_transform_box,
-    siegel_transform_points,
     truncated_siegel,
 )
 from diophlab.theory import (
@@ -65,7 +64,6 @@ __all__ = [
     "omega_n",
     "overlap_length",
     "siegel_transform_box",
-    "siegel_transform_points",
     "theta_infinity",
     "truncated_siegel",
     "validate",

@@ -61,6 +61,16 @@ class Convention(Enum):
     BOTH_SIGNS = "both"
     POSITIVE_Q = "positive"
 
+    @property
+    def share(self) -> float:
+        """The part of the both-signs count this convention counts.
+
+        POSITIVE_Q (n = 1) keeps one q of each pair +-q, whose counts are
+        equal, so it counts exactly half on every sample: its mean constant
+        is C/2 and its variance and lag covariances are a quarter.
+        """
+        return 1.0 if self is Convention.BOTH_SIGNS else 0.5
+
 
 @dataclass(frozen=True)
 class MatrixU:

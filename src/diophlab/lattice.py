@@ -23,11 +23,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from diophlab.counting import CountingKernel, MatrixU, enumeration_cap
+from diophlab.counting import CountingKernel, MatrixU
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem
 
@@ -119,54 +118,6 @@ def siegel_transform_box(problem: ApproximationProblem, lat: UnimodularLattice, 
     if s0 != 0:
         raise ValidationError("siegel_transform_box needs the unflowed lattice (s = 0)")
     return int(CountingKernel(problem, s, s + 1).block_counts(u)[0])
-
-
-def siegel_transform_points(box, lat: UnimodularLattice) -> int:
-    """Exact number of nonzero lattice points in a closed axis box.
-
-    ``box`` is a sequence of (lo, hi) pairs, one per coordinate.  Points are
-    found by enumerating integer coordinates inside the preimage of the box
-    under the basis; membership on the boundary is settled in exact dyadic
-    arithmetic.
-    """
-    cap = enumeration_cap()
-    d = lat.dimension
-    bounds = np.array([[float(lo), float(hi)] for lo, hi in box], dtype=np.float64)
-    if bounds.shape != (d, 2):
-        raise ValidationError("box must provide one (lo, hi) pair per coordinate")
-    if np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ValidationError("box has lo > hi")
-    inv = np.linalg.inv(lat.basis)
-    corners = np.array(list(itertools.product(*bounds)))  # (2^d, d)
-    pre = corners @ inv.T
-    lo_int = np.floor(pre.min(axis=0) - 1e-9).astype(np.int64)
-    hi_int = np.ceil(pre.max(axis=0) + 1e-9).astype(np.int64)
-    n_pts = int(np.prod((hi_int - lo_int + 1).astype(np.float64)))
-    if n_pts > cap:
-        raise CapExceededError(f"preimage box of {n_pts} points > cap {cap}")
-    axes = [np.arange(lo_int[k], hi_int[k] + 1, dtype=np.int64) for k in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    zs = np.stack([g.ravel() for g in grids])  # (d, K)
-    nonzero = np.any(zs != 0, axis=0)
-    zs = zs[:, nonzero]
-    pts = lat.basis @ zs.astype(np.float64)  # (d, K)
-    margin = 1e-9 * np.maximum(1.0, np.abs(bounds)).max()
-    inside = np.all((pts >= bounds[:, 0:1] - margin) & (pts <= bounds[:, 1:2] + margin), axis=0)
-    clear = np.all((pts >= bounds[:, 0:1] + margin) & (pts <= bounds[:, 1:2] - margin), axis=0)
-    total = int(np.count_nonzero(clear))
-    fuzzy = np.nonzero(inside & ~clear)[0]
-    if fuzzy.size:
-        basis_frac = [[Fraction(x) for x in row] for row in lat.basis]
-        bounds_frac = [(Fraction(lo), Fraction(hi)) for lo, hi in bounds]
-        for j in fuzzy:
-            ok = True
-            for i in range(d):
-                coord = sum(basis_frac[i][k] * int(zs[k, j]) for k in range(d))
-                if not (bounds_frac[i][0] <= coord <= bounds_frac[i][1]):
-                    ok = False
-                    break
-            total += ok
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +285,11 @@ def alpha(lat: UnimodularLattice) -> float:
     return out
 
 
-def truncated_siegel(f, lat: UnimodularLattice, L: float, s: int = 0) -> float:
-    """Sharp-L truncation: the Siegel transform if alpha(a^s Lambda) <= L, else 0.
-
-    ``f`` may be an ApproximationProblem (its counting cell at flow time s,
-    see :func:`siegel_transform_box`) or an axis box as accepted by
-    :func:`siegel_transform_points` (then s must be 0).
-    """
+def truncated_siegel(problem: ApproximationProblem, lat: UnimodularLattice, L: float, s: int = 0) -> float:
+    """Sharp-L truncation: the Siegel transform of the problem's counting cell
+    at flow time s (see :func:`siegel_transform_box`) if alpha(a^s Lambda) <= L, else 0."""
     if L < 1:
         raise ValidationError("truncation level L must be >= 1")
-    if isinstance(f, ApproximationProblem):
-        if alpha(apply_flow(lat, s, f)) > L:
-            return 0.0
-        return float(siegel_transform_box(f, lat, s))
-    if s != 0:
-        raise ValidationError("axis-box truncation is defined at s = 0 only")
-    if alpha(lat) > L:
+    if alpha(apply_flow(lat, s, problem)) > L:
         return 0.0
-    return float(siegel_transform_points(f, lat))
+    return float(siegel_transform_box(problem, lat, s))

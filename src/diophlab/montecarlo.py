@@ -272,15 +272,17 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     the leading term C*N as reported.  The run passes when the gaps are flat
     across N and every mean lies within ``lln_gap`` of the finite-T mean (the
     leading-term gap tends to a nonzero offset, C*gamma_Euler for (2,1)).
+    Means are of the convention's count, so C and the finite-T mean take its
+    ``share``.
     """
     n_max = max(config.n_grid)
-    C = mean_constant(config.problem)
+    share = config.convention.share
+    C = mean_constant(config.problem) * share
     kernel = CountingKernel(config.problem, 0, n_max)
     cum = np.cumsum(_block_matrix(config, kernel), axis=1)  # Delta_{e^{s+1}} per sample
     # finite-T theoretical mean from the torus identity, per block then summed
     per_q_mean = np.prod(2.0 * kernel.rho, axis=0)
-    factor = 2.0 if config.convention is Convention.BOTH_SIGNS else 1.0
-    block_mean = factor * np.bincount(
+    block_mean = 2.0 * share * np.bincount(
         kernel.block_of, weights=per_q_mean, minlength=n_max
     )
     finite_theory = np.cumsum(block_mean)
@@ -338,6 +340,7 @@ class CltResult:
     verdict: str
     trace: tuple  # CltTraceRow at intermediate N
     factor2: dict | None
+    constants: theory.TheoryConstants | None  # of the problem; None at m + n = 2
     passed: bool
 
 
@@ -350,11 +353,14 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
     the positive-q normalization with both candidate constants.  The run passes when there
     is no sigma2 to compare with (m = 1), or when the KS distance is at most
     ``clt_ks`` and the variance lies within ``clt_var_rel`` * sigma2 of sigma2.
+    The counts are the convention's, so they are centred with C * share and
+    compared with sigma2 * share^2.
     """
-    C = mean_constant(config.problem)
+    share = config.convention.share
+    C = mean_constant(config.problem) * share
     # sigma2 and zeta_ratio need m + n >= 3; at m + n = 2 the run has m = 1
     consts = theory.constants(config.problem) if config.problem.dimension >= 3 else None
-    sigma2 = consts.sigma2 if config.problem.m >= 2 else None
+    sigma2 = consts.sigma2 * share**2 if config.problem.m >= 2 else None
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, config.N))
     totals = blocks.sum(axis=1)
 
@@ -407,6 +413,7 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
         verdict=verdict,
         trace=tuple(trace),
         factor2=factor2,
+        constants=consts,
         passed=not failed,
     )
 
@@ -427,6 +434,7 @@ class CovarianceResult:
     var_D_stderr: float
     var_prediction: float
     var_within: bool
+    passed: bool
 
 
 def _theta_for_lag(problem: ApproximationProblem, s: int) -> float:
@@ -445,18 +453,22 @@ def run_covariance(config: ExperimentConfig) -> CovarianceResult:
     """Empirical lag covariances of the shell counts against Theta_inf(s).
 
     Also checks the variance chain: Var(D_{e^N}) against the stationary
-    finite-N prediction (1/N) sum_{|s|<N} (N - |s|) Theta_inf(s).
+    finite-N prediction (1/N) sum_{|s|<N} (N - |s|) Theta_inf(s).  The run
+    passes when every lag and the chain lie within ``cov_nsigma`` stderr.
+    The counts are the convention's, so D is centred with C * share and
+    Theta_inf takes share^2.
     """
     lags, t = config.lags, config.t_base
     if config.problem.m < 2:
         raise ValidationError("covariance theory comparison needs m >= 2")
     N = max(config.N, t + max(lags) + 1)
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, N))
-    consts = theory.constants(config.problem)
+    share = config.convention.share
+    C = mean_constant(config.problem) * share
     nsig = THRESHOLDS["cov_nsigma"]
     # one Theta_inf per distinct |s|, ascending
     distinct = sorted({abs(s) for s in lags} | set(range(config.N)))
-    theta = {a: _theta_for_lag(config.problem, a) for a in distinct}
+    theta = {a: share**2 * _theta_for_lag(config.problem, a) for a in distinct}
 
     rows = []
     base = blocks[:, t] - blocks[:, t].mean()
@@ -473,19 +485,21 @@ def run_covariance(config: ExperimentConfig) -> CovarianceResult:
         )
 
     # variance chain at N
-    D = (blocks[:, : config.N].sum(axis=1) - consts.C * config.N) / math.sqrt(config.N)
+    D = (blocks[:, : config.N].sum(axis=1) - C * config.N) / math.sqrt(config.N)
     Dc = D - D.mean()
     var_D = float(np.mean(Dc**2))
     var_stderr = float(math.sqrt(max(np.mean((Dc**2 - var_D) ** 2), 0.0) / config.samples))
     pred = theta[0]
     for s in range(1, config.N):
         pred += 2.0 * (config.N - s) / config.N * theta[s]
+    var_within = abs(var_D - pred) <= nsig * var_stderr
     return CovarianceResult(
         rows=tuple(rows),
         var_D=var_D,
         var_D_stderr=var_stderr,
         var_prediction=pred,
-        var_within=abs(var_D - pred) <= nsig * var_stderr,
+        var_within=var_within,
+        passed=bool(var_within and all(r.within for r in rows)),
     )
 
 
@@ -500,12 +514,18 @@ class TailRow:
     within: bool
 
 
-def run_alpha_tail(config: ExperimentConfig):
+@dataclass(frozen=True)
+class AlphaTailResult:
+    rows: tuple  # TailRow per L
+    passed: bool
+
+
+def run_alpha_tail(config: ExperimentConfig) -> AlphaTailResult:
     """Empirical P(alpha(a^s Lambda_u) >= L) at s = ceil(kappa log L).
 
-    Flow times that ``lattice.check_flow_time`` refuses (the float basis of
-    a^s Lambda_u no longer holds the lattice) are refused before any sample
-    runs.
+    The run passes when every tail is at most its bound.  Flow times that
+    ``lattice.check_flow_time`` refuses (the float basis of a^s Lambda_u no
+    longer holds the lattice) are refused before any sample runs.
     """
     if config.problem.dimension > 5:
         raise ValidationError("alpha tails need dimension <= 5 (certified alpha)")
@@ -535,7 +555,7 @@ def run_alpha_tail(config: ExperimentConfig):
                 bound=bound, within=tail <= bound,
             )
         )
-    return tuple(rows)
+    return AlphaTailResult(rows=tuple(rows), passed=all(r.within for r in rows))
 
 
 @dataclass(frozen=True)
@@ -548,8 +568,9 @@ class SiegelMeanRow:
 
 
 def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)):
-    """Mean of the shell count at flow time s against the volume C."""
-    C = mean_constant(config.problem)
+    """Mean of the shell count at flow time s against the volume C (times
+    the convention's share)."""
+    C = mean_constant(config.problem) * config.convention.share
     nsig = THRESHOLDS["mvt_nsigma"]
     rows = []
     for s in s_list:

@@ -289,7 +289,7 @@ def test_criterion_09_alpha_tail():
     cfg = ExperimentConfig(
         problem=P21, samples=10_000, seed=SEED, workers=_WORKERS, L_grid=(2.0, 4.0, 8.0), kappa=4.0
     )
-    rows = run_alpha_tail(cfg)
+    rows = run_alpha_tail(cfg).rows
     ok = all(r.within for r in rows)
     detail = ", ".join(
         f"L={r.L:.0f} (s={r.s}): tail={r.tail:.4f} <= {r.bound:.4f} ({'ok' if r.within else 'FAIL'})"

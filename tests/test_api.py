@@ -8,7 +8,7 @@ from diophlab.counting import CountingKernel
 # second copies removed in favour of the paths that experiments run
 DELETED = {
     "problem": ("Annulus", "domain_volume_annulus", "norm_eval", "WeightedBoxFunction"),
-    "lattice": ("DiagonalFlow", "_radial_int_window"),
+    "lattice": ("DiagonalFlow", "_radial_int_window", "siegel_transform_points"),
     "counting": ("count_block",),
     "cumulants": ("empirical_cumulant",),
 }

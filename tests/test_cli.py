@@ -81,10 +81,50 @@ def test_emit_results(tmp_path):
     assert "results.csv" in plot and "sigma2" in plot
 
 
-def test_emit_results_empty(tmp_path):
-    paths = emit_results({}, [], ("index", "Delta", "D_T"), str(tmp_path / "out"))
-    assert json.loads(Path(paths["summary"]).read_text())["no_data"] is True
-    assert len(Path(paths["csv"]).read_text().splitlines()) == 2  # comment + header
+GOLDEN = Path(__file__).resolve().parent / "golden"
+P21_FLAGS = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1"]
+GOLDEN_ARGV = {
+    "alpha-tail": ["alpha-tail", *P21_FLAGS, "--L-grid", "2,4", "--samples", "40", "--seed", "0"],
+    "covariance": [
+        "covariance", *P21_FLAGS, "--logT", "6", "--t-base", "3", "--lags", "0,1,-1", "--samples", "40", "--seed", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, workers", [("alpha-tail", "1"), ("alpha-tail", "2"), ("covariance", "1")]
+)
+def test_experiment_files_match_recorded_bytes(tmp_path, subcommand, workers):
+    # tests/golden holds the results.csv and summary.json of these argvs; a
+    # moved row, summary field, float repr or worker-dependent value shows here
+    argv = GOLDEN_ARGV[subcommand] + ["--workers", workers, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    for name in ("results.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / subcommand / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("subcommand", sorted(GOLDEN_ARGV))
+def test_experiment_exit_code_follows_passed(tmp_path, monkeypatch, subcommand):
+    # every row of these runs is within, so only the result's own ``passed`` can
+    # turn the exit code to 1; the CLI looks the run up on the module at call time
+    from diophlab import montecarlo
+
+    name = "run_" + subcommand.replace("-", "_")
+    run = getattr(montecarlo, name)
+    for passed, code in ((False, 1), (True, 0)):
+        monkeypatch.setattr(montecarlo, name, lambda cfg, passed=passed: dataclasses.replace(run(cfg), passed=passed))
+        out = tmp_path / str(passed)
+        assert main(GOLDEN_ARGV[subcommand] + ["--out-dir", str(out)]) == code
+        assert "passed" not in json.loads((out / "summary.json").read_text())
+
+
+def test_lln_positive_convention_is_judged_against_half_of_C(tmp_path, capsys):
+    # POSITIVE_Q counts half of every both-signs count, so its leading term is C N / 2
+    argv = ["lln", *P21_FLAGS, "--samples", "400", "--seed", "3", "--n-grid", "6,7,8,9", "--convention", "positive"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert [(r["N"], r["theory"]) for r in summary["rows"]] == [(N, 8.0 * N / 2) for N in (6, 7, 8, 9)]
+    assert summary["verdict"] == "flat"
 
 
 def test_count_subcommand_emits_record(tmp_path, capsys):
@@ -342,6 +382,18 @@ def test_clt_at_m_plus_n_2_has_no_sigma2(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["verdict"] == "theory comparison unavailable (m = 1)"
     assert summary["sigma2_theory"] is None and summary["factor2_diagnostic"] is None
+
+
+def test_clt_writes_the_constants_its_run_computed(tmp_path, capsys, monkeypatch):
+    from diophlab import theory
+
+    calls = []
+    constants = theory.constants
+    monkeypatch.setattr(theory, "constants", lambda problem: calls.append(problem) or constants(problem))
+    argv = ["clt", *P21_FLAGS, "--logT", "4", "--samples", "10", "--out-dir", str(tmp_path)]
+    main(argv)
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert len(calls) == 1 and summary["theory"] == dataclasses.asdict(constants(calls[0]))
 
 
 def test_killed_worker_exits_3(tmp_path, monkeypatch, capsys):

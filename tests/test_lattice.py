@@ -17,7 +17,6 @@ from diophlab.lattice import (
     apply_flow,
     lattice_from_u,
     siegel_transform_box,
-    siegel_transform_points,
     truncated_siegel,
 )
 from diophlab.oracles import brute_force_block
@@ -139,60 +138,6 @@ def test_siegel_box_counts_in_the_problem_norm():
             want = brute_force_block(p22e, u, s)
             assert siegel_transform_box(p22e, lat, s) == want
             assert truncated_siegel(p22e, lat, 1e9, s=s) == want
-
-
-def _points_oracle(box, lat):
-    """Independent Fraction-based box count over a generous integer window."""
-    d = lat.dimension
-    inv = np.linalg.inv(lat.basis)
-    corners = np.array(
-        [[box[k][0] if (mask >> k) & 1 else box[k][1] for k in range(d)] for mask in range(2**d)]
-    )
-    pre = corners @ inv.T
-    lo = np.floor(pre.min(axis=0)).astype(int) - 2
-    hi = np.ceil(pre.max(axis=0)).astype(int) + 2
-    basis_frac = [[Fraction(x) for x in row] for row in lat.basis]
-    count = 0
-    import itertools
-
-    for z in itertools.product(*[range(lo[k], hi[k] + 1) for k in range(d)]):
-        if not any(z):
-            continue
-        ok = True
-        for i in range(d):
-            coord = sum(basis_frac[i][k] * z[k] for k in range(d))
-            if not (Fraction(box[i][0]) <= coord <= Fraction(box[i][1])):
-                ok = False
-                break
-        count += ok
-    return count
-
-
-def test_siegel_points_examples():
-    z2 = UnimodularLattice(np.eye(2))
-    assert siegel_transform_points([(-1.5, 1.5)] * 2, z2) == 8
-    assert siegel_transform_points([(0.25, 0.75)] * 2, z2) == 0
-    lat = lattice_from_u(
-        validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(1.0,))), MatrixU([[0.5]])
-    )
-    box = [(-1.0, 1.0), (-1.0, 1.0)]
-    assert siegel_transform_points(box, lat) == 6
-    assert _points_oracle(box, lat) == 6
-
-
-def test_siegel_points_random_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        u = MatrixU(rng.random((2, 1)))
-        lat = lattice_from_u(P21, u)
-        box = [(-1.5, 1.2), (-0.75, 2.0), (-2.0, 0.5)]
-        assert siegel_transform_points(box, lat) == _points_oracle(box, lat)
-
-
-def test_siegel_points_cap(monkeypatch):
-    monkeypatch.setenv("DIOPH_CAP", "100")
-    with pytest.raises(CapExceededError):
-        siegel_transform_points([(-50.0, 50.0)] * 2, UnimodularLattice(np.eye(2)))
 
 
 def _ball(basis, radius):
@@ -426,10 +371,10 @@ def test_alpha_uncertified_above_five():
 def test_truncated_siegel():
     lat = lattice_from_u(P11, MatrixU(np.zeros((1, 1))))
     assert truncated_siegel(P11, lat, 1.0, s=0) == 4.0  # alpha(Z^2) = 1 <= L
-    skew = UnimodularLattice(np.diag([math.e, 1 / math.e]), provenance=None)
-    assert truncated_siegel([(-1.0, 1.0), (-1.0, 1.0)], skew, 2.0, s=0) == 0.0  # alpha = e > 2
-    # points (0, +-1/e) and (0, +-2/e) lie in the box once the cutoff admits alpha = e
-    assert truncated_siegel([(-1.0, 1.0), (-1.0, 1.0)], skew, 3.0, s=0) == 4.0
+    # a^1 Z^2 = diag(e, 1/e) Z^2 has lambda_1 = 1/e, so alpha = e > 2
+    assert truncated_siegel(P11, lat, 2.0, s=1) == 0.0
+    # once the cutoff admits alpha = e: shell 1 holds q = +-3..+-7, each with p = 0 only
+    assert truncated_siegel(P11, lat, 3.0, s=1) == siegel_transform_box(P11, lat, 1) == 10.0
     with pytest.raises(ValidationError):
         truncated_siegel(P11, lat, 0.5, s=0)
 

@@ -10,6 +10,7 @@ import pytest
 
 from diophlab import montecarlo, theory
 from diophlab.cli import main
+from diophlab.counting import Convention
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.montecarlo import (
     ExperimentConfig,
@@ -242,6 +243,7 @@ def test_run_covariance_small():
     assert res.var_prediction == pytest.approx(
         sum((10 - abs(s)) / 10 * res_theory for s, res_theory in _theta_terms(10)), rel=1e-6
     )
+    assert res.passed == (all(r.within for r in res.rows) and res.var_within)
 
 
 def test_run_covariance_one_theta_per_distinct_lag(monkeypatch):
@@ -270,10 +272,36 @@ def _theta_terms(N):
 
 def test_run_alpha_tail_trivial_L1():
     cfg = ExperimentConfig(problem=P21, samples=50, seed=2, L_grid=(1.0, 2.0), kappa=4.0)
-    rows = run_alpha_tail(cfg)
+    res = run_alpha_tail(cfg)
+    rows = res.rows
+    assert res.passed == all(r.within for r in rows)
     assert rows[0].L == 1.0 and rows[0].tail == 1.0  # alpha >= 1 always
     assert rows[1].tail <= rows[0].tail  # nested events
     assert rows[0].s == 0
+
+
+def test_positive_convention_is_judged_against_its_own_constants():
+    # POSITIVE_Q counts exactly half of every both-signs count, so a run centres
+    # with C/2 and compares with sigma2/4 and Theta_inf/4: every verdict and KS
+    # distance is the both-signs run's, and every mean and variance is scaled exactly
+    def pair(run, **kw):
+        return [run(ExperimentConfig(problem=P21, convention=c, **kw)) for c in Convention]
+
+    both, pos = pair(run_clt, N=8, samples=400, seed=3)
+    assert pos.ks_distance == both.ks_distance and pos.passed == both.passed
+    assert pos.stats.mean == both.stats.mean / 2 and pos.stats.variance == both.stats.variance / 4
+    assert pos.sigma2_theory == both.sigma2_theory / 4
+    assert pos.constants == both.constants == theory.constants(P21)
+
+    both, pos = pair(run_covariance, N=6, samples=40, seed=2, t_base=3, lags=(0, 1, -1))
+    assert both.passed and pos.passed
+    for r0, r1 in zip(both.rows, pos.rows):
+        assert (r1.empirical, r1.stderr, r1.theory) == (r0.empirical / 4, r0.stderr / 4, r0.theory / 4)
+        assert r1.within == r0.within
+    assert (pos.var_D, pos.var_prediction) == (both.var_D / 4, both.var_prediction / 4)
+
+    pos = ExperimentConfig(problem=P21, samples=20, seed=2, convention=Convention.POSITIVE_Q)
+    assert run_siegel_mean(pos, s_list=(4,))[0].theory == 4.0
 
 
 def test_run_siegel_mean_small():
