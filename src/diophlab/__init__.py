@@ -19,7 +19,6 @@ from diophlab.counting import (
     CountResult,
     MatrixU,
     count_direct,
-    normalize_clt,
 )
 from diophlab.lattice import (
     UnimodularLattice,
@@ -60,7 +59,6 @@ __all__ = [
     "domain_volume",
     "lattice_from_u",
     "n_solutions",
-    "normalize_clt",
     "omega_n",
     "overlap_length",
     "siegel_transform_box",

@@ -376,11 +376,11 @@ def _selftest_checks(fast: bool) -> list:
     def sigma2_identity():
         # the sum of Theta over lags reproduces the variance constant
         sigma2 = theory.constants(p21).sigma2
-        series = theory.sigma2_series(p21, S=9, Pmax=800)
+        series = math.fsum(theory.theta_infinity(p21, s, 800) for s in range(-9, 10))
         return abs(series - sigma2) <= 5e-3 * sigma2, f"series={series:.6f} sigma2={sigma2:.6f}"
 
     def siegel_mean():
-        r = montecarlo.run_siegel_mean(ExperimentConfig(problem=p21, samples=400, seed=7), s_list=(4,))[0]
+        r = montecarlo.run_siegel_mean(ExperimentConfig(problem=p21, samples=400, seed=7), s_list=(4,)).rows[0]
         return r.within, f"mean={r.mean:.3f} theory={r.theory:.3f}"
 
     table = [

@@ -406,11 +406,3 @@ def count_direct(
     return CountResult(
         total=total, per_block=tuple(int(b) for b in blocks), T=float(T), convention=convention
     )
-
-
-def normalize_clt(count: int, T: float, C: float) -> float:
-    """(count - C log T) / sqrt(log T)."""
-    if not T > 1:
-        raise ValidationError("normalize_clt needs T > 1")
-    logT = math.log(T)
-    return (count - C * logT) / math.sqrt(logT)

@@ -134,19 +134,12 @@ def _subset_moments(dist: FiniteDistribution, observables) -> dict:
 
 def joint_cumulant(dist: FiniteDistribution, observables) -> Fraction:
     """Cum(phi_1, ..., phi_r) = sum over partitions P of (-1)^{|P|-1} (|P|-1)!
-    prod_{I in P} E[prod_{i in I} phi_i], exact."""
+    prod_{I in P} E[prod_{i in I} phi_i], exact: the conditional cumulant
+    along the one-block partition {1..r}."""
     r = len(observables)
     if not 1 <= r <= MAX_CUMULANT_ORDER:
         raise ValidationError(f"order must be in [1, {MAX_CUMULANT_ORDER}]")
-    moments = _subset_moments(dist, observables)
-    total = Fraction(0)
-    for part in _partitions_of(tuple(range(r))):
-        sign = -1 if len(part) % 2 == 0 else 1
-        term = Fraction(sign * math.factorial(len(part) - 1))
-        for block in part:
-            term *= moments[frozenset(block)]
-        total += term
-    return total
+    return conditional_cumulant(dist, observables, SetPartition((tuple(range(1, r + 1)),)))
 
 
 def conditional_cumulant(dist: FiniteDistribution, observables, Q: SetPartition) -> Fraction:

@@ -184,8 +184,9 @@ def ks_statistic(samples, cdf) -> float:
     return max(d_plus, d_minus, 0.0)
 
 
-def summarize(samples, sigma2: float | None) -> tuple[SummaryStats, str]:
-    """Summary statistics plus a verdict tag against Norm with variance sigma2."""
+def summarize(samples, sigma2: float | None) -> SummaryStats:
+    """Summary statistics, with the KS distance to Norm with variance sigma2
+    (0.0 without a positive sigma2, or 0.5 when the samples are constant too)."""
     arr = np.asarray(samples, dtype=np.float64)
     n = arr.size
     mean = float(arr.mean())
@@ -193,27 +194,19 @@ def summarize(samples, sigma2: float | None) -> tuple[SummaryStats, str]:
     var = float(np.mean(centered**2))
     cum3 = float(np.mean(centered**3))
     cum4 = float(np.mean(centered**4)) - 3.0 * var * var
-    if var == 0.0:
-        verdict = "degenerate"
-        ks = ks_statistic(arr, lambda x: normal_cdf(x, sigma2)) if sigma2 else 0.5
-    elif sigma2 is None or sigma2 <= 0:
-        verdict = "theory comparison unavailable"
-        ks = 0.0
+    if sigma2 is None or sigma2 <= 0:
+        ks = 0.5 if var == 0.0 else 0.0
     else:
         ks = ks_statistic(arr, lambda x: normal_cdf(x, sigma2))
-        verdict = "ok"
     stderr = math.sqrt(var / n) if n else 0.0
-    return (
-        SummaryStats(
-            mean=mean,
-            variance=var,
-            cum3=cum3,
-            cum4=cum4,
-            ks_distance=ks,
-            stderr_mean=stderr,
-            sample_count=int(n),
-        ),
-        verdict,
+    return SummaryStats(
+        mean=mean,
+        variance=var,
+        cum3=cum3,
+        cum4=cum4,
+        ks_distance=ks,
+        stderr_mean=stderr,
+        sample_count=int(n),
     )
 
 
@@ -272,8 +265,8 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     the leading term C*N as reported.  The run passes when the gaps are flat
     across N and every mean lies within ``lln_gap`` of the finite-T mean (the
     leading-term gap tends to a nonzero offset, C*gamma_Euler for (2,1)).
-    Means are of the convention's count, so C and the finite-T mean take its
-    ``share``.
+    Means are of the convention's count, so C, the finite-T mean and both
+    thresholds (``lln_gap`` and ``lln_band``) take its ``share``.
     """
     n_max = max(config.n_grid)
     share = config.convention.share
@@ -306,8 +299,8 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
             )
         )
     band = max(gaps) - min(gaps) if gaps else 0.0
-    gap_max = THRESHOLDS["lln_gap"]
-    flat = config.samples > 1 and band <= THRESHOLDS["lln_band"]
+    gap_max = THRESHOLDS["lln_gap"] * share
+    flat = config.samples > 1 and band <= THRESHOLDS["lln_band"] * share
     failed = [] if flat else ["gaps not flat across N"]
     far = [str(r.N) for r in rows if not abs(r.mean - r.mean_finite_theory) <= gap_max]
     if far:
@@ -369,7 +362,7 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
         return (t - C * upto) / math.sqrt(upto)
 
     D = normalized(config.N)
-    stats, verdict = summarize(D, sigma2)
+    stats = summarize(D, sigma2)
     failed = []
     if sigma2 is None:
         verdict = "theory comparison unavailable (m = 1)"
@@ -379,15 +372,14 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
             failed.append(f"KS distance {stats.ks_distance:.3g} above {ks_max:g}")
         if not abs(stats.variance - sigma2) <= var_rel * sigma2:
             failed.append(f"variance {stats.variance:.3g} not within {var_rel:.0%} of sigma2 {sigma2:.3g}")
-        if failed and verdict == "ok":
-            verdict = "; ".join(failed)
+        verdict = "degenerate" if stats.variance == 0.0 else "; ".join(failed) or "ok"
 
     trace = []
     for N in trace_N:
         if not 1 <= N <= config.N:
             raise ValidationError("trace_N entries must be in [1, N]")
         DN = normalized(N)
-        s, _ = summarize(DN, sigma2)
+        s = summarize(DN, sigma2)
         trace.append(CltTraceRow(N=N, variance=s.variance, cum3=s.cum3, cum4=s.cum4, ks=s.ks_distance))
 
     factor2 = None
@@ -567,9 +559,16 @@ class SiegelMeanRow:
     within: bool
 
 
-def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)):
+@dataclass(frozen=True)
+class SiegelMeanResult:
+    rows: tuple  # SiegelMeanRow per s
+    passed: bool
+
+
+def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)) -> SiegelMeanResult:
     """Mean of the shell count at flow time s against the volume C (times
-    the convention's share)."""
+    the convention's share).  The run passes when every mean lies within
+    ``mvt_nsigma`` stderr of C."""
     C = mean_constant(config.problem) * config.convention.share
     nsig = THRESHOLDS["mvt_nsigma"]
     rows = []
@@ -584,4 +583,4 @@ def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)):
                 within=abs(mean - C) <= nsig * stderr,
             )
         )
-    return tuple(rows)
+    return SiegelMeanResult(rows=tuple(rows), passed=all(r.within for r in rows))

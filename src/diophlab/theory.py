@@ -122,55 +122,37 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     The double sum is truncated at p, q <= Pmax; the diagonal band p ~ e^s q
     must fit below Pmax for the value to be accurate (Pmax >= ~4 e^|s|),
     smaller Pmax simply truncates (and yields exactly 0 once the band is
-    empty, as for very large |s|).
+    empty, as for very large |s|).  The overlap is +0.0 unless
+    s - 1 < log(p/q) < s + 1, so only that band is evaluated, in row slabs of
+    about ``_CHUNK`` pairs, into a zeroed (Pmax, Pmax) grid; one ``np.sum`` of
+    the grid then gives the same float as the overlap summed on the whole
+    grid.  Raises CapExceededError when the Pmax^2 pairs exceed the
+    enumeration cap.
     """
     d = problem.m + problem.n
     if d < 3:
         raise ValidationError("theta_infinity needs m + n >= 3")
     if Pmax < 1:
         raise ValidationError("Pmax must be >= 1")
-
-    def overlap(log_p, log_q, lo, hi):
-        np.maximum(s - log_p, -log_q, out=lo)
-        np.minimum(s + 1 - log_p, 1 - log_q, out=hi)
-        np.subtract(hi, lo, out=hi)
-        return np.clip(hi, 0.0, None, out=hi)
-
-    return _pq_grid_sum(problem, Pmax, overlap, s - 1, s + 1)
-
-
-def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window, x_lo: float, x_hi: float) -> float:
-    """2 zeta(d)^{-1} C sum_{p,q <= Pmax} max(p,q)^{-d} window(log p, log q).
-
-    ``window(log_p, log_q, a, b)`` gets a column of log p, a row of log q and
-    two scratch buffers of their broadcast shape, and returns one of the
-    buffers holding the log-radial weight of each (p, q) pair.  The window
-    must be +0.0 unless x_lo < log(p/q) < x_hi, so only that band is
-    evaluated, in row slabs of about ``_CHUNK`` pairs, into a zeroed
-    (Pmax, Pmax) grid; one ``np.sum`` of the grid then gives the same float as
-    the window evaluated on the whole grid.
-    Raises CapExceededError when the Pmax^2 pairs exceed the enumeration cap.
-    """
     cap = enumeration_cap()
     if Pmax * Pmax > cap:
         raise CapExceededError(f"(p, q)-grid of {Pmax * Pmax} pairs > cap {cap} (set DIOPH_CAP to raise)")
-    d = problem.m + problem.n
     pref = 2.0 / zeta(float(d)) * mean_constant(problem)
     ks = np.arange(1, Pmax + 1, dtype=np.float64)
     logs = np.log(ks)
     k_pow = ks ** (-float(d))  # decreasing, so min(p^-d, q^-d) is the float max(p, q)^-d
-    # row p of the band holds the columns q in (p e^{-x_hi}, p e^{-x_lo}), taken
+    # row p of the band holds the columns q in (p e^{-s-1}, p e^{1-s}), taken
     # one column wider on each side.  Exponents are clamped to +-lim, past
     # which every bound clips the same, and the bounds are clipped to [0, Pmax]
-    # in float before the int cast, so no lag or S overflows
+    # in float before the int cast, so no lag overflows
     lim = math.log(Pmax) + 2.0
-    q_lo, q_hi = (ks * math.exp(min(max(-x, -lim), lim)) for x in (x_hi, x_lo))
+    q_lo, q_hi = (ks * math.exp(min(max(-x, -lim), lim)) for x in (s + 1, s - 1))
     c_lo = np.clip(np.floor(q_lo) - 1.0, 0, Pmax).astype(np.int64)
     c_hi = np.clip(np.ceil(q_hi) + 1.0, 0, Pmax).astype(np.int64)
     grid = np.zeros((Pmax, Pmax))
     # the rows with columns form a prefix, since c_lo only grows; an empty band has none
     r = 0
-    r_end = int(np.count_nonzero(c_lo < c_hi)) if x_lo < x_hi else 0
+    r_end = int(np.count_nonzero(c_lo < c_hi))
     while r < r_end:
         # as many rows as keep the slab's rectangle within _CHUNK pairs (at least
         # one); row r's width alone bounds how many rows can fit
@@ -178,9 +160,15 @@ def _pq_grid_sum(problem: ApproximationProblem, Pmax: int, window, x_lo: float, 
         area = np.arange(1, n + 1) * (c_hi[r:r + n] - c_lo[r])
         r1 = r + max(1, int(np.searchsorted(area, _CHUNK, side="right")))
         c0, c1 = c_lo[r], c_hi[r1 - 1]
-        a = np.empty((r1 - r, c1 - c0))
-        out = window(logs[r:r1, None], logs[None, c0:c1], a, np.empty_like(a))
-        np.multiply(np.minimum.outer(k_pow[r:r1], k_pow[c0:c1]), out, out=grid[r:r1, c0:c1])
+        log_p, log_q = logs[r:r1, None], logs[None, c0:c1]
+        lo = np.empty((r1 - r, c1 - c0))
+        hi = np.empty_like(lo)
+        # the log-radial overlap of the dilated shells, as in ``overlap_length``
+        np.maximum(s - log_p, -log_q, out=lo)
+        np.minimum(s + 1 - log_p, 1 - log_q, out=hi)
+        np.subtract(hi, lo, out=hi)
+        np.clip(hi, 0.0, None, out=hi)
+        np.multiply(np.minimum.outer(k_pow[r:r1], k_pow[c0:c1]), hi, out=grid[r:r1, c0:c1])
         r = r1
     return pref * float(np.sum(grid))
 
@@ -254,23 +242,6 @@ def theta_infinity_numeric(
                     break
             total += term
     return 2.0 / zeta(float(d)) * omega * total
-
-
-def sigma2_series(problem: ApproximationProblem, S: int, Pmax: int) -> float:
-    """sum_{|s| <= S} theta_infinity(s) evaluated on one (p, q) grid."""
-    d = problem.m + problem.n
-    if d < 3:
-        raise ValidationError("sigma2_series needs m + n >= 3")
-
-    def coverage(log_p, log_q, diff, hi):
-        # coverage of [0,1] by the union of windows [s - x, s + 1 - x], |s| <= S
-        np.subtract(log_p, log_q, out=diff)
-        np.minimum(np.subtract(S + 1, diff, out=hi), 1.0, out=hi)
-        np.maximum(np.subtract(-S, diff, out=diff), 0.0, out=diff)
-        np.subtract(hi, diff, out=hi)
-        return np.clip(hi, 0.0, 1.0, out=hi)
-
-    return _pq_grid_sum(problem, Pmax, coverage, -S - 1, S + 1)
 
 
 def max_pq_partial_sum(d: int, P: int) -> float:

@@ -301,10 +301,9 @@ def test_criterion_09_alpha_tail():
 def test_criterion_10_siegel_mean_value():
     t0 = time.time()
     cfg = ExperimentConfig(problem=P21, samples=10_000, seed=SEED, workers=_WORKERS)
-    rows = run_siegel_mean(cfg, s_list=(4, 6, 8))
-    ok = all(r.within for r in rows)
+    res = run_siegel_mean(cfg, s_list=(4, 6, 8))
     detail = ", ".join(
         f"s={r.s}: {r.mean:.3f}±{r.stderr:.3f} vs {r.theory:.1f} ({'ok' if r.within else 'FAIL'})"
-        for r in rows
+        for r in res.rows
     )
-    _verdict(10, "Siegel mean value / equidistribution", ok, detail, t0, 120)
+    _verdict(10, "Siegel mean value / equidistribution", res.passed, detail, t0, 120)

@@ -9,8 +9,9 @@ from diophlab.counting import CountingKernel
 DELETED = {
     "problem": ("Annulus", "domain_volume_annulus", "norm_eval", "WeightedBoxFunction"),
     "lattice": ("DiagonalFlow", "_radial_int_window", "siegel_transform_points"),
-    "counting": ("count_block",),
+    "counting": ("count_block", "normalize_clt"),
     "cumulants": ("empirical_cumulant",),
+    "theory": ("sigma2_series",),
 }
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -13,7 +13,6 @@ from diophlab.counting import (
     _exact_open_count,
     count_direct,
     half_space_grid,
-    normalize_clt,
 )
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import lattice_from_u, siegel_transform_box
@@ -359,15 +358,3 @@ def test_matrix_u_validation():
     for T in (1.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="finite T > 1"):
             count_direct(P21, MatrixU(np.zeros((2, 1))), T)
-
-
-def test_normalize_clt():
-    C = 8.0
-    T = math.e**5
-    assert normalize_clt(int(C * 5), T, C) == pytest.approx(0.0, abs=1e-9)
-    count = C * 5 + math.sqrt(5)
-    assert normalize_clt(count, T, C) == pytest.approx(1.0, rel=1e-12)
-    # frozen arithmetic on the oracle count of the dyadic-irrational example
-    assert normalize_clt(60, 1000.0, 8.0) == pytest.approx(1.8026969070697845, rel=1e-12)
-    with pytest.raises(ValidationError):
-        normalize_clt(1, 1.0, C)

@@ -167,14 +167,24 @@ def test_ks_statistic_against_own_steps():
 
 
 def test_summarize_degenerate():
-    stats, verdict = summarize(np.zeros(100), sigma2=4.0)
-    assert verdict == "degenerate"
+    stats = summarize(np.zeros(100), sigma2=4.0)
     assert stats.variance == 0.0
     assert stats.ks_distance == pytest.approx(0.5, abs=1e-12)
     # plug-in central moments: constants give 0, the balanced 0/1 sample var 1/4, cum4 -1/8
     for sample, moments in (([5.0] * 100, (0.0, 0.0, 0.0)), ([0.0, 1.0] * 500, (0.25, 0.0, -0.125))):
-        stats, _ = summarize(sample, sigma2=None)
+        stats = summarize(sample, sigma2=None)
         assert (stats.variance, stats.cum3, stats.cum4) == moments
+
+
+def test_run_clt_degenerate_when_every_count_is_zero():
+    # thetas of 2^-20 leave every shell empty up to N = 4, and C N is a power of
+    # two, so D = -C sqrt(N) is the same float for every sample: variance exactly 0
+    tiny = validate(
+        ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(2.0**-20, 2.0**-20))
+    )
+    res = run_clt(ExperimentConfig(problem=tiny, N=4, samples=20, seed=1))
+    assert not res.delta.any() and res.stats.variance == 0.0
+    assert res.verdict == "degenerate" and not res.passed
 
 
 def test_wilson_interval():
@@ -210,7 +220,7 @@ def test_run_lln_and_siegel_mean_for_m_plus_n_2():
         exact = 4 * 0.5 * math.fsum(1.0 / q for q in range(1, math.ceil(math.exp(r.N))))
         assert r.mean_finite_theory == pytest.approx(exact, rel=1e-12)
     assert res.rows[1].mean_finite_theory == pytest.approx(7.195, abs=1e-3)
-    assert run_siegel_mean(ExperimentConfig(problem=p11, samples=20, seed=2), s_list=(2,))[0].theory == 2.0
+    assert run_siegel_mean(ExperimentConfig(problem=p11, samples=20, seed=2), s_list=(2,)).rows[0].theory == 2.0
 
 
 def test_verdict_names_the_failed_check():
@@ -301,12 +311,17 @@ def test_positive_convention_is_judged_against_its_own_constants():
     assert (pos.var_D, pos.var_prediction) == (both.var_D / 4, both.var_prediction / 4)
 
     pos = ExperimentConfig(problem=P21, samples=20, seed=2, convention=Convention.POSITIVE_Q)
-    assert run_siegel_mean(pos, s_list=(4,))[0].theory == 4.0
+    assert run_siegel_mean(pos, s_list=(4,)).rows[0].theory == 4.0
+
+    # lln halves its thresholds with the band; on this seed the band (1.06) is not flat
+    both, pos = pair(run_lln, samples=200, seed=10, n_grid=(6, 7, 8, 9))
+    assert (pos.verdict, pos.passed) == (both.verdict, both.passed) == ("gaps not flat across N", False)
+    assert (pos.band, pos.gap_threshold) == (both.band / 2, both.gap_threshold / 2)
 
 
 def test_run_siegel_mean_small():
     cfg = ExperimentConfig(problem=P21, samples=300, seed=6)
-    rows = run_siegel_mean(cfg, s_list=(4,))
+    rows = run_siegel_mean(cfg, s_list=(4,)).rows
     assert rows[0].theory == pytest.approx(8.0)
     assert abs(rows[0].mean - 8.0) <= 6 * rows[0].stderr
 

@@ -18,7 +18,6 @@ from diophlab.theory import (
     n_solutions,
     n_solutions_brute,
     overlap_length,
-    sigma2_series,
     theta_infinity,
     zeta,
 )
@@ -123,24 +122,14 @@ def _reference_theta(prob, s, Pmax):
     return _reference_grid_sum(prob, Pmax, overlap)
 
 
-def _reference_sigma2(prob, S, Pmax):
-    def coverage(log_p, log_q):
-        diff = log_p - log_q
-        return np.clip(np.minimum(1.0, S + 1 - diff) - np.maximum(0.0, -S - diff), 0.0, 1.0)
-
-    return _reference_grid_sum(prob, Pmax, coverage)
-
-
 def test_band_grid_sums_equal_the_whole_grid_expression():
-    # only the band where the window is nonzero is evaluated; every value must
+    # only the band where the overlap is nonzero is evaluated; every value must
     # still be the same float as the whole-grid expression, also for lags whose
-    # band leaves the grid (|s| = 40, S = 40) and for grids of 1 to 3 rows
+    # band leaves the grid (|s| = 40) and for grids of 1 to 3 rows
     for Pmax in (7, 600, 1, 2000, 2, 3, 3000):
         for prob in (P21, P22):
             for s in (-40, -9, -2, -1, 0, 1, 2, 3, 5, 6, 7, 8, 40):
                 assert theta_infinity(prob, s, Pmax) == _reference_theta(prob, s, Pmax)
-            for S in (0, 3, 9, 40):
-                assert sigma2_series(prob, S, Pmax) == _reference_sigma2(prob, S, Pmax)
     _reference_weight.cache_clear()
     # an empty band sums to +0.0, the value variance --lags 800 writes
     for s in (800, -800, 40):
@@ -154,7 +143,6 @@ def test_band_slabs_match_any_chunk_size(monkeypatch):
         monkeypatch.setattr(theory, "_CHUNK", chunk)
         for s in (-3, 0, 2, 6):
             assert theta_infinity(P22, s, 300) == _reference_theta(P22, s, 300)
-        assert sigma2_series(P21, 3, 300) == _reference_sigma2(P21, 3, 300)
 
 
 def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
@@ -163,8 +151,6 @@ def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
     try:
         with pytest.raises(CapExceededError):
             theta_infinity(P22, 1, 11)  # 121 pairs
-        with pytest.raises(CapExceededError):
-            sigma2_series(P21, 2, 11)
         with pytest.raises(CapExceededError):
             theta_infinity(P22, 0, 2000)  # its grid alone would take 32 MB
         peak = tracemalloc.get_traced_memory()[1]
@@ -196,14 +182,11 @@ def test_max_pq_partial_sum_tail():
 
 @pytest.mark.parametrize("prob", [P21, P22])
 def test_sigma2_series_identity(prob):
+    # the lag covariances sum to the variance constant
     c = constants(prob)
     S = int(math.ceil(math.log(2000))) + 2
-    total = sigma2_series(prob, S=S, Pmax=2000)
+    total = math.fsum(theta_infinity(prob, s, 2000) for s in range(-S, S + 1))
     assert abs(total - c.sigma2) <= 1e-3 * c.sigma2
-    # and the literal sum over theta_infinity agrees with the fused series
-    direct = sum(theta_infinity(prob, s, 700) for s in range(-8, 9))
-    fused = sigma2_series(prob, S=8, Pmax=700)
-    assert direct == pytest.approx(fused, rel=1e-9)
 
 
 def test_theta_numeric_matches_exact_for_indicators():
