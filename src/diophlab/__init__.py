@@ -10,7 +10,6 @@ central limit behaviour of the normalized counts.
 from diophlab.problem import (
     ApproximationProblem,
     Norm,
-    domain_volume,
     omega_n,
     validate,
 )
@@ -26,7 +25,6 @@ from diophlab.lattice import (
     apply_flow,
     lattice_from_u,
     siegel_transform_box,
-    truncated_siegel,
 )
 from diophlab.theory import (
     TheoryConstants,
@@ -56,14 +54,12 @@ __all__ = [
     "constants",
     "count_direct",
     "divisor_sum_check",
-    "domain_volume",
     "lattice_from_u",
     "n_solutions",
     "omega_n",
     "overlap_length",
     "siegel_transform_box",
     "theta_infinity",
-    "truncated_siegel",
     "validate",
     "zeta",
 ]

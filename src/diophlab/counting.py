@@ -71,6 +71,11 @@ class Convention(Enum):
         """
         return 1.0 if self is Convention.BOTH_SIGNS else 0.5
 
+    def check(self, problem: ApproximationProblem) -> None:
+        """Refuse POSITIVE_Q at n >= 2, where q > 0 names no half-space."""
+        if self is Convention.POSITIVE_Q and problem.n != 1:
+            raise ValidationError("PositiveQ convention requires n = 1")
+
 
 @dataclass(frozen=True)
 class MatrixU:
@@ -137,13 +142,14 @@ def block_sq_radius_range(s: int) -> tuple[int, int]:
     return _ceil_exp(2 * s), _ceil_exp(2 * s + 2) - 1
 
 
-def half_space_grid(n: int, lo: int, hi: int, squared: bool, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def half_space_grid(n: int, lo: int, hi: int, squared: bool) -> tuple[np.ndarray, np.ndarray]:
     """One q from each {q, -q} pair with lo <= ||q||_sup <= hi, as (q, radii).
 
     With ``squared`` (Euclidean norm, n >= 2) the window is lo <= ||q||_2^2
     <= hi instead.  ``q`` is an (n, K) integer array whose first nonzero
     coordinate is positive, in lexicographic order; ``radii`` holds the exact
-    integer ||q|| (or ||q||^2) of each column.
+    integer ||q|| (or ||q||^2) of each column.  A box of more than
+    ``enumeration_cap()`` points raises CapExceededError.
     """
     if n == 1:
         lo = max(lo, 1)
@@ -151,6 +157,7 @@ def half_space_grid(n: int, lo: int, hi: int, squared: bool, cap: int) -> tuple[
         return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
     k_max = math.isqrt(hi) if squared else hi
     points = hi - lo + 1 if n == 1 else (2 * k_max + 1) ** n
+    cap = enumeration_cap()
     if points > cap:
         raise CapExceededError(f"q-grid of {points} points > cap {cap} (set DIOPH_CAP to raise)")
     if n == 1:
@@ -349,7 +356,7 @@ class CountingKernel:
         squared = squared_radii(p)
         radius_range = block_sq_radius_range if squared else block_radius_range
         lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
-        self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared, enumeration_cap())
+        self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared)
         bounds = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)])
         self.block_of = np.searchsorted(bounds, self.radii, side="right")
         self.block_of += self.s_lo
@@ -363,16 +370,13 @@ class CountingKernel:
 
     def _shell_counts(self, u: MatrixU, convention: Convention, below: int | None = None) -> np.ndarray:
         """Shell counts of the q with radius key <= ``below`` (all q if None)."""
+        convention.check(self.problem)
         cols, counts = per_q_product_counts(self.problem, u, self.q_int, self.radii, self.rho)
         if below is not None:
             keep = self.radii[cols] <= below
             cols, counts = cols[keep], counts[keep]
         out = np.bincount(self.block_of[cols] - self.s_lo, weights=counts, minlength=self.n_shells)
-        if convention is Convention.BOTH_SIGNS:
-            return out.astype(np.int64) * 2
-        if self.problem.n != 1:
-            raise ValidationError("PositiveQ convention requires n = 1")
-        return out.astype(np.int64)
+        return out.astype(np.int64) * (2 if convention is Convention.BOTH_SIGNS else 1)
 
     def block_counts(self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS) -> np.ndarray:
         """Counts for the shells s = s_lo .. s_hi-1, in that order."""
@@ -400,6 +404,7 @@ def count_direct(
     when T = e^N the blocks are exactly the shell counts for s = 0..N-1 and
     they sum to the total.
     """
+    convention.check(problem)
     kernel = CountingKernel(problem, 0, _blocks_needed_for(T))
     blocks = kernel._shell_counts(u, convention, _sup_radius_below(T, squared_radii(problem)))
     total = int(blocks.sum())

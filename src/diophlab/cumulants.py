@@ -165,19 +165,6 @@ def conditional_cumulant(dist: FiniteDistribution, observables, Q: SetPartition)
     return total
 
 
-def separation_D(times) -> float:
-    """min over {t_i} and {|t_i - t_j|, i != j}; for a single time, that time."""
-    ts = [float(t) for t in times]
-    if not ts:
-        raise ValidationError("need at least one time")
-    if any(t < 0 for t in ts):
-        raise ValidationError("times must be >= 0")
-    best = min(ts)
-    for a, b in combinations(ts, 2):
-        best = min(best, abs(a - b))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # ladders and the covering of tuple space
 

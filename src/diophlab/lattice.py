@@ -283,13 +283,3 @@ def alpha(lat: UnimodularLattice) -> float:
     if d == 5:  # at d = 4 the dual rank-2 minimum is the same number
         out = max(out, 1.0 / _min_covolume(dual, lam_dual))
     return out
-
-
-def truncated_siegel(problem: ApproximationProblem, lat: UnimodularLattice, L: float, s: int = 0) -> float:
-    """Sharp-L truncation: the Siegel transform of the problem's counting cell
-    at flow time s (see :func:`siegel_transform_box`) if alpha(a^s Lambda) <= L, else 0."""
-    if L < 1:
-        raise ValidationError("truncation level L must be >= 1")
-    if alpha(apply_flow(lat, s, problem)) > L:
-        return 0.0
-    return float(siegel_transform_box(problem, lat, s))

@@ -66,6 +66,7 @@ class ExperimentConfig:
             raise ValidationError("L_grid needs at least one entry, all >= 1 and finite")
         if not 0 < self.kappa < math.inf:
             raise ValidationError("kappa must be > 0 and finite")
+        self.convention.check(self.problem)
 
 
 @dataclass(frozen=True)
@@ -329,25 +330,25 @@ class CltResult:
     delta: np.ndarray  # raw counts at T = e^N
     stats: SummaryStats
     sigma2_theory: float | None
-    ks_distance: float
     verdict: str
-    trace: tuple  # CltTraceRow at intermediate N
+    trace: tuple  # CltTraceRow at N = 8 and N, when N > 8
     factor2: dict | None
     constants: theory.TheoryConstants | None  # of the problem; None at m + n = 2
     passed: bool
 
 
-def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
+def run_clt(config: ExperimentConfig) -> CltResult:
     """Normalized counts D_{e^N} for the seeded sample set, with summaries.
 
-    ``trace_N`` adds per-N summary rows (the same samples, truncated at
-    smaller T = e^N) for convergence diagnostics.  For n = 1 and m + n >= 3
-    the result also carries the factor-2 diagnostic comparing the variance of
-    the positive-q normalization with both candidate constants.  The run passes when there
-    is no sigma2 to compare with (m = 1), or when the KS distance is at most
-    ``clt_ks`` and the variance lies within ``clt_var_rel`` * sigma2 of sigma2.
-    The counts are the convention's, so they are centred with C * share and
-    compared with sigma2 * share^2.
+    When N > 8 the trace holds the summary rows at N = 8 (the same samples,
+    truncated at T = e^8) and at N, for convergence diagnostics.  For n = 1
+    and m + n >= 3 the result also carries the factor-2 diagnostic comparing
+    the variance of the positive-q normalization with both candidate
+    constants.  The run passes when there is no sigma2 to compare with
+    (m = 1), or when the KS distance is at most ``clt_ks`` and the variance
+    lies within ``clt_var_rel`` * sigma2 of sigma2.  The counts are the
+    convention's, so they are centred with C * share and compared with
+    sigma2 * share^2.
     """
     share = config.convention.share
     C = mean_constant(config.problem) * share
@@ -375,11 +376,8 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
         verdict = "degenerate" if stats.variance == 0.0 else "; ".join(failed) or "ok"
 
     trace = []
-    for N in trace_N:
-        if not 1 <= N <= config.N:
-            raise ValidationError("trace_N entries must be in [1, N]")
-        DN = normalized(N)
-        s = summarize(DN, sigma2)
+    for N in (8, config.N) if config.N > 8 else ():
+        s = summarize(normalized(N), sigma2)
         trace.append(CltTraceRow(N=N, variance=s.variance, cum3=s.cum3, cum4=s.cum4, ks=s.ks_distance))
 
     factor2 = None
@@ -401,7 +399,6 @@ def run_clt(config: ExperimentConfig, trace_N: tuple = ()) -> CltResult:
         delta=totals,
         stats=stats,
         sigma2_theory=sigma2,
-        ks_distance=stats.ks_distance,
         verdict=verdict,
         trace=tuple(trace),
         factor2=factor2,

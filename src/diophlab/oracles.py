@@ -31,6 +31,12 @@ from diophlab.problem import ApproximationProblem, Norm
 _MARGIN = 1e-9
 
 
+def _squared(problem: ApproximationProblem) -> bool:
+    """Whether the radius key of q is ||q||_2^2 (Euclidean norm, n >= 2)
+    rather than ||q||; derived here, not taken from the kernel."""
+    return problem.n >= 2 and problem.norm is Norm.EUCLIDEAN
+
+
 def _q_grid(problem: ApproximationProblem, k_max: int) -> np.ndarray:
     """All integer q with |q_j| <= k_max, q != 0, as an (n, K) array (box capped by DIOPH_CAP)."""
     if (2 * k_max + 1) ** problem.n > enumeration_cap():
@@ -42,13 +48,20 @@ def _q_grid(problem: ApproximationProblem, k_max: int) -> np.ndarray:
     return pts[:, nonzero]
 
 
-def _count_explicit_p(problem: ApproximationProblem, u: MatrixU, pts: np.ndarray, norm_f, norm_int, norm_sq) -> int:
-    """Sum over columns of pts of the product over forms of explicit p-counts."""
-    m = problem.m
+def _count_explicit_p(problem: ApproximationProblem, u: MatrixU, pts: np.ndarray, keys: np.ndarray, squared: bool) -> int:
+    """Sum over columns of pts of the product over forms of explicit p-counts.
+
+    ``keys`` are the integer radius keys of the columns: ||q||, or ||q||_2^2
+    when ``squared``.
+    """
+    e = 2 if squared else 1
+    norm_f = keys.astype(np.float64)
+    if squared:
+        norm_f = np.sqrt(norm_f)
     w = problem.weights_float()
     total_per_q = np.ones(pts.shape[1], dtype=np.int64)
     p_reach = int(math.ceil(max(problem.thetas))) + 2
-    for i in range(m):
+    for i in range(problem.m):
         rho = problem.thetas[i] * norm_f ** (-w[i])
         c = u.entries[i] @ pts.astype(np.float64)
         base = np.rint(-c)
@@ -66,13 +79,27 @@ def _count_explicit_p(problem: ApproximationProblem, u: MatrixU, pts: np.ndarray
                         Fraction(u.entries[i, k]) * int(pts[k, j]) for k in range(problem.n)
                     )
                     lhs = abs(int(p_val[j]) + c_exact)
-                    if norm_int is not None:
-                        ok[j] = lhs**b * int(norm_int[j]) ** a < theta**b
-                    else:
-                        ok[j] = lhs ** (2 * b) * int(norm_sq[j]) ** a < theta ** (2 * b)
+                    ok[j] = lhs ** (e * b) * int(keys[j]) ** a < theta ** (e * b)
             cnt += ok
         total_per_q *= cnt
     return int(total_per_q.sum())
+
+
+def _window_count(
+    problem: ApproximationProblem, u: MatrixU, lo_key: int, hi_key: int, convention: Convention
+) -> int:
+    """Solutions with lo_key <= key(q) <= hi_key by explicit p enumeration.
+
+    key(q) is ||q||, or ||q||_2^2 when ``_squared(problem)``.
+    """
+    convention.check(problem)
+    squared = _squared(problem)
+    pts = _q_grid(problem, math.isqrt(hi_key) if squared else hi_key)
+    keys = np.sum(pts * pts, axis=0) if squared else np.max(np.abs(pts), axis=0)
+    keep = (keys >= lo_key) & (keys <= hi_key)
+    if convention is Convention.POSITIVE_Q:
+        keep &= pts[0] >= 1
+    return _count_explicit_p(problem, u, pts[:, keep], keys[keep], squared)
 
 
 def brute_force_count(
@@ -84,28 +111,7 @@ def brute_force_count(
     """Count of solutions with 0 < ||q|| < T by explicit p enumeration."""
     if not T > 1:
         raise ValidationError("brute_force_count needs T > 1")
-    if convention is Convention.POSITIVE_Q and problem.n != 1:
-        raise ValidationError("PositiveQ convention requires n = 1")
-    k_max = _sup_radius_below(T)
-    pts = _q_grid(problem, k_max)
-    if problem.norm is Norm.SUP or problem.n == 1:
-        norm_int = np.max(np.abs(pts), axis=0)
-        keep = norm_int <= k_max
-        pts, norm_int = pts[:, keep], norm_int[keep]
-        norm_sq = None
-        norm_f = norm_int.astype(np.float64)
-    else:
-        norm_sq = np.sum(pts * pts, axis=0)
-        keep = norm_sq < Fraction(T) ** 2
-        pts, norm_sq = pts[:, keep], norm_sq[keep]
-        norm_int = None
-        norm_f = np.sqrt(norm_sq.astype(np.float64))
-    if convention is Convention.POSITIVE_Q:
-        keep = pts[0] >= 1
-        pts = pts[:, keep]
-        norm_int = norm_int[keep]
-        norm_f = norm_f[keep]
-    return _count_explicit_p(problem, u, pts, norm_f, norm_int, norm_sq)
+    return _window_count(problem, u, 1, _sup_radius_below(T, _squared(problem)), convention)
 
 
 def brute_force_block(
@@ -115,29 +121,8 @@ def brute_force_block(
     convention: Convention = Convention.BOTH_SIGNS,
 ) -> int:
     """Block count for the shell e^s <= ||q|| < e^{s+1}, explicit p path."""
-    if problem.norm is Norm.SUP or problem.n == 1:
-        k_lo, k_hi = block_radius_range(s)
-        pts = _q_grid(problem, k_hi)
-        norm_int = np.max(np.abs(pts), axis=0)
-        keep = (norm_int >= k_lo) & (norm_int <= k_hi)
-        pts, norm_int = pts[:, keep], norm_int[keep]
-        norm_sq = None
-        norm_f = norm_int.astype(np.float64)
-    else:
-        q_lo, q_hi = block_sq_radius_range(s)
-        pts = _q_grid(problem, int(math.isqrt(q_hi)))
-        norm_sq = np.sum(pts * pts, axis=0)
-        keep = (norm_sq >= q_lo) & (norm_sq <= q_hi)
-        pts, norm_sq = pts[:, keep], norm_sq[keep]
-        norm_int = None
-        norm_f = np.sqrt(norm_sq.astype(np.float64))
-    if convention is Convention.POSITIVE_Q:
-        if problem.n != 1:
-            raise ValidationError("PositiveQ convention requires n = 1")
-        keep = pts[0] >= 1
-        pts, norm_f = pts[:, keep], norm_f[keep]
-        norm_int = norm_int[keep]
-    return _count_explicit_p(problem, u, pts, norm_f, norm_int, norm_sq)
+    lo_key, hi_key = (block_sq_radius_range if _squared(problem) else block_radius_range)(s)
+    return _window_count(problem, u, lo_key, hi_key, convention)
 
 
 def slow_reference_count(

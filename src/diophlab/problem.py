@@ -8,8 +8,8 @@ Conventions fixed here and relied on everywhere else:
   exact arithmetic;
 * ``omega_n`` integrates ||z||^{-n} over the *Euclidean* unit sphere with
   surface measure (for n = 1 the sphere is {-1, +1} with counting measure),
-  which makes ``domain_volume`` equal C * log(T) for any of the supported
-  norms;
+  which makes the volume of the counting domain below T equal C * log(T)
+  for any of the supported norms;
 * counting domains are radially half-open [1, T), and the x-side inequality
   is always strict.
 """
@@ -153,12 +153,3 @@ def mean_constant(problem: ApproximationProblem) -> float:
     for t in problem.thetas:
         prod *= t
     return (2.0**problem.m) * prod * omega_n(problem.norm, problem.n)
-
-
-def domain_volume(problem: ApproximationProblem, T: float) -> float:
-    """Volume of {1 <= ||y|| < T, |x_i| < theta_i ||y||^{-w_i}} = C log T."""
-    if not T > 1:
-        if T == 1:
-            return 0.0
-        raise ValidationError("domain_volume needs T >= 1")
-    return mean_constant(problem) * math.log(T)

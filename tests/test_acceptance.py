@@ -237,10 +237,10 @@ def test_criterion_06_lln_mean_constant():
 def test_criterion_07_clt():
     t0 = time.time()
     cfg = ExperimentConfig(problem=P21, N=12, samples=4000, seed=SEED, workers=_WORKERS)
-    res = run_clt(cfg, trace_N=(8, 12))
+    res = run_clt(cfg)  # traces N = 8 and N = 12
     sigma2 = res.sigma2_theory
     var = res.stats.variance
-    ks = res.ks_distance
+    ks = res.stats.ks_distance
     cum3, cum4 = res.stats.cum3, res.stats.cum4
     tr = {row.N: row for row in res.trace}
     checks = {

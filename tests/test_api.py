@@ -7,10 +7,10 @@ from diophlab.counting import CountingKernel
 
 # second copies removed in favour of the paths that experiments run
 DELETED = {
-    "problem": ("Annulus", "domain_volume_annulus", "norm_eval", "WeightedBoxFunction"),
-    "lattice": ("DiagonalFlow", "_radial_int_window", "siegel_transform_points"),
+    "problem": ("Annulus", "domain_volume_annulus", "norm_eval", "WeightedBoxFunction", "domain_volume"),
+    "lattice": ("DiagonalFlow", "_radial_int_window", "siegel_transform_points", "truncated_siegel"),
     "counting": ("count_block", "normalize_clt"),
-    "cumulants": ("empirical_cumulant",),
+    "cumulants": ("empirical_cumulant", "separation_D"),
     "theory": ("sigma2_series",),
 }
 

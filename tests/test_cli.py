@@ -70,15 +70,28 @@ def test_emit_results(tmp_path):
         [(0, 1, 0.5), (1, 2, -0.25)],
         ("index", "Delta", "D_T"),
         str(tmp_path / "out"),
-        plot_sigma2=4.0,
+        plot="plot 'results.csv'\n",
     )
     csv_text = Path(paths["csv"]).read_text()
     assert csv_text.startswith("# schema_version=1\n")
     assert csv_text.splitlines()[1] == "index,Delta,D_T"
     summary = json.loads(Path(paths["summary"]).read_text())
     assert summary["experiment"] == "demo"
-    plot = Path(paths["plot"]).read_text()
-    assert "results.csv" in plot and "sigma2" in plot
+    assert Path(paths["plot"]).read_text() == "plot 'results.csv'\n"
+    # without a script there is no plot.gp
+    bare = emit_results({}, [(0, 1)], ("s", "block_count"), str(tmp_path / "bare"))
+    assert set(bare) == {"csv", "summary"} and not (tmp_path / "bare" / "plot.gp").exists()
+
+
+def test_only_clt_writes_a_plot_script(tmp_path):
+    # the script bins column 3 as D_T, which only the clt results.csv holds
+    clt = ["clt", *P21_FLAGS, "--logT", "4", "--samples", "10"]
+    variance = ["variance", *P21_FLAGS, "--lags", "0"]
+    for argv, name in ((clt, "clt"), (variance, "variance")):
+        main(argv + ["--out-dir", str(tmp_path / name)])
+    assert (tmp_path / "clt" / "results.csv").read_text().splitlines()[1] == "index,Delta,D_T"
+    assert "bin($3, binwidth)" in (tmp_path / "clt" / "plot.gp").read_text()
+    assert not (tmp_path / "variance" / "plot.gp").exists()
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -202,9 +215,10 @@ def test_theta_grid_cap_exit_code(tmp_path, monkeypatch):
         ["variance", "--lags", ","],
     ],
 )
-def test_malformed_experiment_grid_is_usage_error(tmp_path, argv):
-    problem = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "5"]
-    assert main(argv + problem + ["--out-dir", str(tmp_path)]) == 2
+def test_malformed_experiment_grid_is_usage_error(tmp_path, capsys, argv):
+    samples = [] if argv[0] == "variance" else ["--samples", "5"]
+    assert main(argv + P21_FLAGS + samples + ["--out-dir", str(tmp_path)]) == 2
+    assert "unrecognized" not in capsys.readouterr().err  # refused for the grid, not for a flag
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -240,11 +254,13 @@ WRONG_TYPES = [
         ["alpha-tail", "--kappa", "-1"],
     ],
 )
-def test_bad_number_u_or_config_is_usage_error(tmp_path, argv):
+def test_bad_number_u_or_config_is_usage_error(tmp_path, capsys, argv):
     # the case's flags come last, so they override the problem's; a file
     # with a wrong-typed setting holds the whole problem, as a flag would
     # override the setting
-    problem = {"m": 2, "n": 1, "weights": "1/2,1/2", "thetas": "1,1", "samples": 5}
+    problem = {"m": 2, "n": 1, "weights": "1/2,1/2", "thetas": "1,1"}
+    if argv[0] in ("lln", "clt", "covariance", "alpha-tail"):
+        problem["samples"] = 5
     (tmp_path / "list.json").write_text("[1, 2]")  # valid JSON, but not an object
     (tmp_path / "string.json").write_text('"x"')
     for _, key, value in WRONG_TYPES:
@@ -254,6 +270,8 @@ def test_bad_number_u_or_config_is_usage_error(tmp_path, argv):
     flags = [] if wrong_type else [x for key, value in problem.items() for x in (f"--{key}", str(value))]
     out = tmp_path / "out"
     assert main(argv[:1] + flags + case + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized" not in err and "does not read" not in err  # refused for the value itself
     assert not out.exists()
 
 
@@ -324,30 +342,68 @@ def test_every_setting_has_a_type_check():
     for f in cli._SETTINGS.values():
         kinds = f.metadata["kinds"]
         assert kinds and all(isinstance(k, type) for k in kinds), f.name
-        assert set(f.metadata["only"]) <= set(cli._SUBCOMMANDS), f.name
+        assert f.metadata["only"] and set(f.metadata["only"]) <= set(cli._SUBCOMMANDS), f.name
 
 
-COMMON_FLAGS = {
-    "--help", "--config", "--m", "--n", "--weights", "--thetas", "--norm", "--logT", "--T",
-    "--samples", "--seed", "--workers", "--out-dir", "--convention",
+SHARED = {"--m", "--n", "--weights", "--thetas", "--norm", "--out-dir"}
+CLT = SHARED | {"--logT", "--samples", "--seed", "--workers", "--convention"}
+# each subcommand's flags besides --help and --config: exactly the settings it reads
+FLAGS = {
+    "count": SHARED | {"--logT", "--T", "--seed", "--convention", "--u"},
+    "lln": SHARED | {"--samples", "--seed", "--workers", "--convention", "--n-grid"},
+    "clt": CLT,
+    "covariance": CLT | {"--lags", "--t-base"},
+    "alpha-tail": SHARED | {"--samples", "--seed", "--workers", "--L-grid", "--kappa"},
+    "variance": SHARED | {"--lags"},
+    "selftest": {"--fast"},
 }
 
 
-@pytest.mark.parametrize(
-    "subcommand, extra",
-    [
-        ("count", {"--u"}),
-        ("lln", {"--n-grid"}),
-        ("clt", set()),
-        ("covariance", {"--lags", "--t-base"}),
-        ("alpha-tail", {"--L-grid", "--kappa"}),
-        ("variance", {"--lags"}),
-        ("selftest", {"--fast", "--inject-fault"}),
-    ],
-)
+@pytest.mark.parametrize("subcommand, extra", FLAGS.items())
 def test_help_lists_each_subcommands_flags(capsys, subcommand, extra):
     assert main([subcommand, "--help"]) == 0
-    assert set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)) == COMMON_FLAGS | extra
+    assert set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)) == {"--help", "--config"} | extra
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lln", *P21_FLAGS, "--logT", "14"],
+        ["lln", *P21_FLAGS, "--T", "1e9"],
+        ["variance", *P21_FLAGS, "--convention", "positive"],
+        ["alpha-tail", *P21_FLAGS, "--convention", "positive"],
+        ["alpha-tail", *P21_FLAGS, "--logT", "30"],
+        ["selftest", "--seed", "9"],
+        ["selftest", "--samples", "3"],
+        ["selftest", "--out-dir", "g"],
+        ["clt", *P21_FLAGS, "--T", "3000"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value",
+    [
+        ("lln", "logT", 14),
+        ("variance", "convention", "positive"),
+        ("alpha-tail", "convention", "positive"),
+        ("selftest", "m", 2),
+    ],
+)
+def test_config_key_the_subcommand_does_not_read_is_usage_error(tmp_path, capsys, subcommand, key, value):
+    cfg_file = tmp_path / "run.json"
+    cfg_file.write_text(json.dumps({"m": 2, "n": 1, "weights": ["1/2", "1/2"], "thetas": [1, 1], key: value}))
+    out = tmp_path / "out"
+    argv = [subcommand, "--config", str(cfg_file)] + ([] if subcommand == "selftest" else ["--out-dir", str(out)])
+    assert main(argv) == 2
+    assert f"config keys that {subcommand} does not read" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_mpmath_out():
@@ -448,8 +504,12 @@ def test_selftest_fast_passes():
     assert "sigma2-identity" in names and "oracle-equivalence" in names
 
 
-def test_selftest_fault_injection_fails_named_check():
-    code, checks = selftest(fast=True, inject_fault="zeta")
+def test_selftest_fault_injection_fails_named_check(monkeypatch):
+    from diophlab import theory
+
+    zeta = theory.zeta
+    monkeypatch.setattr(theory, "zeta", lambda s: zeta(s) * 1.05)  # deliberately corrupted
+    code, checks = selftest(fast=True)
     assert code == 1
     failed = {name for name, ok, _ in checks if not ok}
     assert "sigma2-identity" in failed

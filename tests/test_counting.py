@@ -280,10 +280,17 @@ def test_block_oracle_euclidean():
             assert CountingKernel(p22, s, s + 1).block_counts(u)[0] == brute_force_block(p22, u, s)
 
 
-def test_positive_q_requires_n1():
+def test_positive_q_requires_n1(monkeypatch):
+    # refused before the q-grid is built: a build would raise AssertionError here
+    def no_build(self):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(CountingKernel, "_build", no_build)
     p = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.6,)))
     with pytest.raises(ValidationError, match="n = 1"):
         count_direct(p, MatrixU(np.zeros((1, 2))), 10.0, Convention.POSITIVE_Q)
+    with pytest.raises(ValidationError, match="n = 1"):
+        montecarlo.ExperimentConfig(problem=p, N=8, convention=Convention.POSITIVE_Q)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -304,7 +311,7 @@ def test_half_space_grid_matches_brute_force(monkeypatch, n, squared, lo, hi):
     # one leading row per slab, several rows per slab, one slab for the box
     for chunk in (1, 4 * (2 * k + 1), 10**9):
         monkeypatch.setattr(counting, "_CHUNK", chunk)
-        q, radii = half_space_grid(n, lo, hi, squared, cap=10**6)
+        q, radii = half_space_grid(n, lo, hi, squared)
         got = [tuple(int(x) for x in col) for col in q.T]
         assert got == sorted(expected)  # lexicographic order, one of each +/- pair
         assert not set(got) & {tuple(-x for x in g) for g in got}
@@ -330,14 +337,17 @@ def test_kernel_build_peak_memory_near_its_arrays():
     assert peak <= 1.6 * held
 
 
-def test_half_space_grid_n1_and_cap():
-    q, radii = half_space_grid(1, 0, 5, False, cap=10)
+def test_half_space_grid_n1_and_cap(monkeypatch):
+    monkeypatch.setenv("DIOPH_CAP", "10")
+    q, radii = half_space_grid(1, 0, 5, False)
     assert q.tolist() == [[1, 2, 3, 4, 5]] and radii.tolist() == [1, 2, 3, 4, 5]
     with pytest.raises(CapExceededError):
-        half_space_grid(1, 1, 11, False, cap=10)
+        half_space_grid(1, 1, 11, False)
+    monkeypatch.setenv("DIOPH_CAP", "24")
     with pytest.raises(CapExceededError):
-        half_space_grid(2, 1, 2, False, cap=24)  # the 5 x 5 box
-    assert half_space_grid(2, 1, 2, False, cap=25)[0].shape == (2, 12)
+        half_space_grid(2, 1, 2, False)  # the 5 x 5 box
+    monkeypatch.setenv("DIOPH_CAP", "25")
+    assert half_space_grid(2, 1, 2, False)[0].shape == (2, 12)
 
 
 def test_enumeration_cap(monkeypatch):

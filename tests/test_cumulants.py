@@ -14,7 +14,6 @@ from diophlab.cumulants import (
     piece_contains,
     rho_inf,
     rho_sup,
-    separation_D,
     set_partitions,
 )
 from diophlab.errors import ValidationError
@@ -130,12 +129,6 @@ def test_conditional_cumulant_trivial_partition_is_joint():
         obs = list(range(r))
         Q = SetPartition((tuple(range(1, r + 1)),))
         assert conditional_cumulant(dist, obs, Q) == joint_cumulant(dist, obs)
-
-
-def test_separation_D():
-    assert separation_D((3, 7, 12)) == 3
-    assert separation_D((5, 5)) == 0
-    assert separation_D((10,)) == 10
 
 
 def test_ladder_chain():

@@ -17,7 +17,6 @@ from diophlab.lattice import (
     apply_flow,
     lattice_from_u,
     siegel_transform_box,
-    truncated_siegel,
 )
 from diophlab.oracles import brute_force_block
 from diophlab.problem import ApproximationProblem, Norm, validate
@@ -60,7 +59,7 @@ def test_flow_exponents_and_group_law():
 
 def test_flow_refuses_times_beyond_float_precision():
     # past (1 + max w) s = 27 ln 2 the float basis rounds p + <u_i, q> of the
-    # short vectors beyond 2^-26, so alpha and truncated_siegel would measure
+    # short vectors beyond 2^-26, so alpha would measure
     # another lattice: (1,3) at s = 9 has (1 + 3) 9 = 36 > 18.7
     rng = np.random.default_rng(3)
     p13 = validate(ApproximationProblem(m=1, n=3, weights=(3,), thetas=(1.0,)))
@@ -69,8 +68,6 @@ def test_flow_refuses_times_beyond_float_precision():
         apply_flow(lat, 9, p13)
     with pytest.raises(ValidationError, match="s=9"):  # s0 = 4 from the provenance, plus 5
         apply_flow(apply_flow(lat, 4, p13), 5, p13)
-    with pytest.raises(ValidationError, match="s=9"):
-        truncated_siegel(p13, lat, 2.0, 9)
     # (2,2) at s = 9 and (1,2) at s = 6 have (1 + max w) s = 18 <= 18.7 and still run
     p22 = validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.0)))
     p12 = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(1.0,)))
@@ -137,7 +134,6 @@ def test_siegel_box_counts_in_the_problem_norm():
         for s in (0, 1, 2):
             want = brute_force_block(p22e, u, s)
             assert siegel_transform_box(p22e, lat, s) == want
-            assert truncated_siegel(p22e, lat, 1e9, s=s) == want
 
 
 def _ball(basis, radius):
@@ -366,31 +362,6 @@ def test_lll_step_guard_raises(monkeypatch):
 def test_alpha_uncertified_above_five():
     with pytest.raises(ValidationError, match="dimension <= 5"):
         alpha(UnimodularLattice(np.eye(6)))
-
-
-def test_truncated_siegel():
-    lat = lattice_from_u(P11, MatrixU(np.zeros((1, 1))))
-    assert truncated_siegel(P11, lat, 1.0, s=0) == 4.0  # alpha(Z^2) = 1 <= L
-    # a^1 Z^2 = diag(e, 1/e) Z^2 has lambda_1 = 1/e, so alpha = e > 2
-    assert truncated_siegel(P11, lat, 2.0, s=1) == 0.0
-    # once the cutoff admits alpha = e: shell 1 holds q = +-3..+-7, each with p = 0 only
-    assert truncated_siegel(P11, lat, 3.0, s=1) == siegel_transform_box(P11, lat, 1) == 10.0
-    with pytest.raises(ValidationError):
-        truncated_siegel(P11, lat, 0.5, s=0)
-
-
-def test_truncated_matches_plain_at_large_L():
-    # at L = 100 the truncation should not bite on at least 99% of samples
-    rng = np.random.default_rng(21)
-    agree = 0
-    total = 2000
-    for _ in range(total):
-        u = MatrixU(rng.random((2, 1)))
-        lat = lattice_from_u(P21, u)
-        full = float(siegel_transform_box(P21, lat, 0))
-        trunc = truncated_siegel(P21, lat, 100.0, s=0)
-        agree += trunc == full
-    assert agree / total >= 0.99
 
 
 def test_growth_bound_alpha():

@@ -233,16 +233,18 @@ def test_verdict_names_the_failed_check():
 
 
 def test_run_clt_fields_and_m1():
-    cfg = ExperimentConfig(problem=P21, N=6, samples=120, seed=3)
-    res = run_clt(cfg, trace_N=(4, 6))
+    cfg = ExperimentConfig(problem=P21, N=9, samples=120, seed=3)
+    res = run_clt(cfg)
     assert res.sigma2_theory == pytest.approx(16.0 * (2 * (math.pi**2 / 6) / 1.2020569031595942 - 1), rel=1e-9)
-    assert len(res.trace) == 2 and res.trace[0].N == 4
+    assert [row.N for row in res.trace] == [8, 9]  # traced at N = 8 and at N, once N > 8
+    assert res.trace[1].ks == res.stats.ks_distance and res.trace[1].variance == res.stats.variance
     assert res.factor2 is not None
     assert res.factor2["var_positive_q"] == pytest.approx(res.stats.variance / 4.0, rel=1e-12)
 
     p12 = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.7,)))
     res12 = run_clt(ExperimentConfig(problem=p12, N=4, samples=60, seed=3))
     assert res12.verdict == "theory comparison unavailable (m = 1)" and res12.passed
+    assert res12.trace == ()
 
 
 def test_run_covariance_small():
@@ -298,7 +300,7 @@ def test_positive_convention_is_judged_against_its_own_constants():
         return [run(ExperimentConfig(problem=P21, convention=c, **kw)) for c in Convention]
 
     both, pos = pair(run_clt, N=8, samples=400, seed=3)
-    assert pos.ks_distance == both.ks_distance and pos.passed == both.passed
+    assert pos.stats.ks_distance == both.stats.ks_distance and pos.passed == both.passed
     assert pos.stats.mean == both.stats.mean / 2 and pos.stats.variance == both.stats.variance / 4
     assert pos.sigma2_theory == both.sigma2_theory / 4
     assert pos.constants == both.constants == theory.constants(P21)

@@ -7,7 +7,6 @@ from diophlab.errors import ValidationError
 from diophlab.problem import (
     ApproximationProblem,
     Norm,
-    domain_volume,
     omega_n,
     unit_ball_volume,
     validate,
@@ -60,11 +59,3 @@ def test_omega_quadrature_agrees(norm, n):
     closed = omega_n(norm, n)
     quad = n * unit_ball_volume(norm, n)
     assert abs(quad - closed) <= 1e-8 * closed
-
-
-def test_domain_volume_examples():
-    p = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(0.5,)))
-    assert domain_volume(p, math.e) == pytest.approx(2.0, rel=1e-14)
-    assert domain_volume(p, 1.0) == 0.0
-    p2 = validate(ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1, 1)))
-    assert domain_volume(p2, math.e) == pytest.approx(8.0, rel=1e-14)
