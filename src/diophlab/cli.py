@@ -147,6 +147,8 @@ def parse_args(argv) -> CliConfig:
     unread = merged.keys() - read - {"subcommand"}
     if unread:
         raise ValidationError(f"config keys that {ns.subcommand} does not read: {sorted(unread)}")
+    if {"T", "logT"} <= merged.keys():
+        raise ValidationError("give count one of --T and --logT, not both")
     for key in read & merged.keys():
         merged[key] = _check_setting(key, merged[key])
     if ns.subcommand != "selftest":

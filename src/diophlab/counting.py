@@ -357,9 +357,7 @@ class CountingKernel:
         radius_range = block_sq_radius_range if squared else block_radius_range
         lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
         self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared)
-        bounds = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)])
-        self.block_of = np.searchsorted(bounds, self.radii, side="right")
-        self.block_of += self.s_lo
+        self._starts = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)], dtype=np.int64)
         self.rho = interval_radii(p, self.radii)
 
     @property
@@ -368,19 +366,23 @@ class CountingKernel:
 
     # -- per-sample work ---------------------------------------------------
 
-    def _shell_counts(self, u: MatrixU, convention: Convention, below: int | None = None) -> np.ndarray:
-        """Shell counts of the q with radius key <= ``below`` (all q if None)."""
+    def shell_of(self, keys: np.ndarray) -> np.ndarray:
+        """Shell index s - s_lo of each radius key, for keys within the kernel's shells."""
+        return np.searchsorted(self._starts, keys, side="right")
+
+    def block_counts(
+        self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS, below: int | None = None
+    ) -> np.ndarray:
+        """Counts for the shells s = s_lo .. s_hi-1, in that order, of the q
+        with radius key <= ``below`` (all q if None)."""
         convention.check(self.problem)
         cols, counts = per_q_product_counts(self.problem, u, self.q_int, self.radii, self.rho)
+        keys = self.radii[cols]
         if below is not None:
-            keep = self.radii[cols] <= below
-            cols, counts = cols[keep], counts[keep]
-        out = np.bincount(self.block_of[cols] - self.s_lo, weights=counts, minlength=self.n_shells)
+            keep = keys <= below
+            keys, counts = keys[keep], counts[keep]
+        out = np.bincount(self.shell_of(keys), weights=counts, minlength=self.n_shells)
         return out.astype(np.int64) * (2 if convention is Convention.BOTH_SIGNS else 1)
-
-    def block_counts(self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS) -> np.ndarray:
-        """Counts for the shells s = s_lo .. s_hi-1, in that order."""
-        return self._shell_counts(u, convention)
 
 
 def _blocks_needed_for(T: float) -> int:
@@ -406,7 +408,7 @@ def count_direct(
     """
     convention.check(problem)
     kernel = CountingKernel(problem, 0, _blocks_needed_for(T))
-    blocks = kernel._shell_counts(u, convention, _sup_radius_below(T, squared_radii(problem)))
+    blocks = kernel.block_counts(u, convention, _sup_radius_below(T, squared_radii(problem)))
     total = int(blocks.sum())
     return CountResult(
         total=total, per_block=tuple(int(b) for b in blocks), T=float(T), convention=convention

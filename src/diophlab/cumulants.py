@@ -61,17 +61,11 @@ def _partitions_of(items: tuple):
         yield sub + ((first,),)
 
 
-def set_partitions(r: int, ground=None) -> list:
-    """All partitions of {1..r} (or of ``ground``), Bell(r) of them."""
-    if ground is None:
-        if not 1 <= r <= MAX_PARTITION_GROUND:
-            raise ValidationError(f"r must be in [1, {MAX_PARTITION_GROUND}]")
-        ground = tuple(range(1, r + 1))
-    else:
-        ground = tuple(ground)
-        if not 1 <= len(ground) <= MAX_PARTITION_GROUND:
-            raise ValidationError("ground set too large")
-    return [SetPartition(blocks) for blocks in _partitions_of(ground)]
+def set_partitions(r: int) -> list:
+    """All partitions of {1..r}, Bell(r) of them."""
+    if not 1 <= r <= MAX_PARTITION_GROUND:
+        raise ValidationError(f"r must be in [1, {MAX_PARTITION_GROUND}]")
+    return [SetPartition(blocks) for blocks in _partitions_of(tuple(range(1, r + 1)))]
 
 
 def bell_number(r: int) -> int:
@@ -271,15 +265,14 @@ def piece_contains(points, label: TupleLabel, ladder: LadderParams) -> bool:
     )
 
 
-def classify_tuple(s_tuple, ladder: LadderParams, all_pieces: bool = False):
-    """Covering piece(s) containing (0, s_1, ..., s_r).
+def classify_tuple(s_tuple, ladder: LadderParams):
+    """The covering piece containing (0, s_1, ..., s_r).
 
     The constructive label comes from clustering at consecutive thresholds:
     walking j = 0..r with beta_0 := 0, the clustering graphs at beta_j and
     beta_{j+1} agree for some j (pigeonhole over at most r+1 strict
     coarsenings), and that j with its component partition is a valid piece;
-    if the partition is trivial the tuple lies in the bulk cube.  With
-    ``all_pieces`` every piece is tested by definition (r <= 6).
+    if the partition is trivial the tuple lies in the bulk cube.
     """
     s_tuple = tuple(float(s) for s in s_tuple)
     if len(s_tuple) != ladder.r:
@@ -288,22 +281,6 @@ def classify_tuple(s_tuple, ladder: LadderParams, all_pieces: bool = False):
         raise ValidationError("coordinates must be >= 0")
     points = (0.0,) + s_tuple
     r = ladder.r
-
-    if all_pieces:
-        if r > 6:
-            raise ValidationError("all_pieces supported for r <= 6")
-        labels = []
-        bulk = TupleLabel(kind="bulk")
-        if piece_contains(points, bulk, ladder):
-            labels.append(bulk)
-        for part in set_partitions(r + 1, ground=tuple(range(r + 1))):
-            if len(part) < 2:
-                continue
-            for j in range(0, r + 1):
-                lab = TupleLabel(kind="clustered", j=j, partition=part)
-                if piece_contains(points, lab, ladder):
-                    labels.append(lab)
-        return labels
 
     thresholds = [0.0] + [ladder.beta(j) for j in range(1, r + 2)]
     parts = [_cluster_partition(points, t) for t in thresholds]

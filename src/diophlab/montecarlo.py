@@ -89,19 +89,11 @@ class SummaryStats:
 # ---------------------------------------------------------------------------
 # sampling
 
-def u_stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for sample ``index``: Philox keyed by (seed, index)."""
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def sample_u(stream: np.random.Generator, m: int, n: int) -> MatrixU:
-    """One uniform draw from the torus of m x n matrices, entries in [0, 1)."""
-    return MatrixU(stream.random((m, n)))
-
-
 def sample_u_at(seed: int, index: int, m: int, n: int) -> MatrixU:
-    return sample_u(u_stream(seed, index), m, n)
+    """Sample ``index`` of a seeded run: one uniform draw from the torus of
+    m x n matrices, from the counter-based Philox stream keyed by (seed, index)."""
+    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(index)], dtype=np.uint64)
+    return MatrixU(np.random.Generator(np.random.Philox(key=key)).random((m, n)))
 
 
 def _usable_cpus() -> int:
@@ -276,9 +268,7 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     cum = np.cumsum(_block_matrix(config, kernel), axis=1)  # Delta_{e^{s+1}} per sample
     # finite-T theoretical mean from the torus identity, per block then summed
     per_q_mean = np.prod(2.0 * kernel.rho, axis=0)
-    block_mean = 2.0 * share * np.bincount(
-        kernel.block_of, weights=per_q_mean, minlength=n_max
-    )
+    block_mean = 2.0 * share * np.bincount(kernel.shell_of(kernel.radii), weights=per_q_mean, minlength=n_max)
     finite_theory = np.cumsum(block_mean)
 
     rows = []

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import diophlab
 from diophlab.counting import CountingKernel
+from diophlab.problem import ApproximationProblem, validate
 
 # second copies removed in favour of the paths that experiments run
 DELETED = {
@@ -12,8 +13,10 @@ DELETED = {
     "counting": ("count_block", "normalize_clt"),
     "cumulants": ("empirical_cumulant", "separation_D"),
     "theory": ("sigma2_series",),
+    "montecarlo": ("u_stream", "sample_u"),
 }
 
+P11 = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(0.5,)))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -27,6 +30,8 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
             assert not hasattr(diophlab, name)
             assert not hasattr(mod, name)
     assert not hasattr(CountingKernel, "count_up_to")
+    assert not hasattr(CountingKernel, "_shell_counts")
+    assert not hasattr(CountingKernel(P11, 0, 2), "block_of")
 
 
 def test_readme_library_example_runs():

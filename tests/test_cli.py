@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from diophlab import lattice
 from diophlab.cli import emit_results, main, parse_args, selftest
 
 CLT_FLAGS = [
@@ -281,6 +282,24 @@ def test_count_logT_overflow_is_cap_exceeded(tmp_path, capsys):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
     assert "overflows" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_count_refuses_T_with_logT(tmp_path, capsys):
+    argv = ["count", "--m", "1", "--n", "1", "--weights", "1", "--thetas", "0.5"]
+    assert main(argv + ["--logT", "3", "--T", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "--T" in err and "--logT" in err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"logT": 3}))
+    assert main(argv + ["--config", str(config), "--T", "100"]) == 2
+    assert "--logT" in capsys.readouterr().err
+
+
+def test_alpha_tail_node_cap_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "_ALPHA_CAP", 0)
+    argv = ["alpha-tail", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    assert "short-vector enumeration exceeded the node cap" in capsys.readouterr().err
 
 
 def test_alpha_tail_refuses_flow_times_beyond_float_precision(tmp_path, capsys):

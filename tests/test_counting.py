@@ -321,6 +321,34 @@ def test_half_space_grid_matches_brute_force(monkeypatch, n, squared, lo, hi):
             assert r == (sum(x * x for x in col) if squared else max(abs(x) for x in col))
 
 
+@pytest.mark.parametrize("problem,s_lo,s_hi", [(P21, 0, 6), (P21, 3, 8), (P22E, 0, 4), (P22E, 2, 5)])
+def test_shell_of_thresholds_are_the_radius_ranges(problem, s_lo, s_hi):
+    # shell s starts at the key ceil(e^s), or ceil(e^{2s}) for squared keys
+    squared = counting.squared_radii(problem)
+    radius_range = counting.block_sq_radius_range if squared else counting.block_radius_range
+    kernel = CountingKernel(problem, s_lo, s_hi)
+    for s in range(s_lo, s_hi):
+        start = math.ceil(math.exp(2 * s if squared else s))
+        assert radius_range(s)[0] == start
+        assert kernel.shell_of(np.array([start]))[0] == s - s_lo
+        if s > s_lo:
+            assert radius_range(s - 1)[1] == start - 1
+            assert kernel.shell_of(np.array([start - 1]))[0] == s - 1 - s_lo
+    lo, hi = np.array([radius_range(s) for s in range(s_lo, s_hi)]).T
+    shell = kernel.shell_of(kernel.radii)
+    assert np.all((lo[shell] <= kernel.radii) & (kernel.radii <= hi[shell]))
+
+
+@pytest.mark.parametrize("problem,s_lo,s_hi", [(P21, 3, 8), (P22E, 2, 5)])
+def test_multi_shell_kernel_above_shell_0_matches_block_oracle(problem, s_lo, s_hi):
+    kernel = CountingKernel(problem, s_lo, s_hi)
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        u = MatrixU(rng.random((problem.m, problem.n)))
+        want = [brute_force_block(problem, u, s) for s in range(s_lo, s_hi)]
+        assert kernel.block_counts(u).tolist() == want
+
+
 def test_kernel_build_peak_memory_near_its_arrays():
     # the build may not hold the whole (2k+1)^n box or stacked rho temporaries
     import tracemalloc
@@ -332,7 +360,7 @@ def test_kernel_build_peak_memory_near_its_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for a in (kernel.q_int, kernel.radii, kernel.block_of, kernel.rho))
+    held = sum(a.nbytes for a in (kernel.q_int, kernel.radii, kernel.rho))
     assert kernel.q_int.shape[1] > 30_000
     assert peak <= 1.6 * held
 

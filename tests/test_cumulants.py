@@ -174,11 +174,3 @@ def test_covering_exhaustive_r2():
             for s2 in range(40):
                 label = classify_tuple((s1, s2), lad)
                 assert piece_contains((0.0, float(s1), float(s2)), label, lad)
-
-
-def test_classify_all_pieces_contains_constructive():
-    lad = LadderParams(gamma=1.0, r=2)
-    labels = classify_tuple((0, 30), lad, all_pieces=True)
-    assert labels, "at least one covering piece"
-    for lab in labels:
-        assert piece_contains((0.0, 0.0, 30.0), lab, lad)

@@ -359,6 +359,11 @@ def test_lll_step_guard_raises(monkeypatch):
         _lll_reduce(skew)
 
 
+def test_fincke_pohst_node_cap_raises():
+    with pytest.raises(CapExceededError, match="node cap"):
+        _fincke_pohst(np.eye(3), 10.0, 0)
+
+
 def test_alpha_uncertified_above_five():
     with pytest.raises(ValidationError, match="dimension <= 5"):
         alpha(UnimodularLattice(np.eye(6)))

@@ -21,10 +21,8 @@ from diophlab.montecarlo import (
     run_covariance,
     run_lln,
     run_siegel_mean,
-    sample_u,
     sample_u_at,
     summarize,
-    u_stream,
     wilson_interval,
 )
 from diophlab.problem import ApproximationProblem, validate
@@ -39,7 +37,7 @@ def test_sample_u_deterministic_and_in_range():
     b = sample_u_at(42, 0, 2, 1)
     assert np.array_equal(a.entries, b.entries)
     assert np.all((a.entries >= 0) & (a.entries < 1))
-    c = sample_u(u_stream(42, 1), 2, 1)
+    c = sample_u_at(42, 1, 2, 1)
     assert not np.array_equal(a.entries, c.entries)
 
 
