@@ -30,7 +30,6 @@ _SUBCOMMANDS = ("count", "lln", "clt", "covariance", "alpha-tail", "variance", "
 # the subcommands that read each group of settings
 _POSED = ("count", "lln", "clt", "covariance", "alpha-tail", "variance")
 _SAMPLED = ("lln", "clt", "covariance", "alpha-tail")
-_COUNTED = ("count", "lln", "clt", "covariance")
 
 
 _REAL = (float, int)
@@ -66,7 +65,7 @@ class CliConfig:
     seed: int = _setting(_EXPERIMENT_DEFAULTS["seed"], (int,), ("count",) + _SAMPLED)
     workers: int = _setting(_EXPERIMENT_DEFAULTS["workers"], (int,), _SAMPLED)
     out_dir: str = _setting("results", (str,), _POSED)
-    convention: str = _setting(_EXPERIMENT_DEFAULTS["convention"].value, (str,), _COUNTED, choices=Convention)
+    convention: str = _setting(Convention.BOTH_SIGNS.value, (str,), ("count",), choices=Convention)
     lags: tuple = _setting(_EXPERIMENT_DEFAULTS["lags"], (int,), ("covariance", "variance"), is_list=True)
     L_grid: tuple = _setting(_EXPERIMENT_DEFAULTS["L_grid"], _REAL, ("alpha-tail",), is_list=True)
     kappa: float = _setting(_EXPERIMENT_DEFAULTS["kappa"], _REAL, ("alpha-tail",))
@@ -81,7 +80,6 @@ class CliConfig:
 
     def experiment(self) -> ExperimentConfig:
         shared = {key: getattr(self, key) for key in _EXPERIMENT_DEFAULTS if key in _SETTINGS}
-        shared["convention"] = Convention(self.convention)
         return ExperimentConfig(problem=self.problem(), N=self.logT, **shared)
 
 

@@ -61,16 +61,6 @@ class Convention(Enum):
     BOTH_SIGNS = "both"
     POSITIVE_Q = "positive"
 
-    @property
-    def share(self) -> float:
-        """The part of the both-signs count this convention counts.
-
-        POSITIVE_Q (n = 1) keeps one q of each pair +-q, whose counts are
-        equal, so it counts exactly half on every sample: its mean constant
-        is C/2 and its variance and lag covariances are a quarter.
-        """
-        return 1.0 if self is Convention.BOTH_SIGNS else 0.5
-
     def check(self, problem: ApproximationProblem) -> None:
         """Refuse POSITIVE_Q at n >= 2, where q > 0 names no half-space."""
         if self is Convention.POSITIVE_Q and problem.n != 1:
@@ -196,16 +186,36 @@ def _exact_open_count(c: Fraction, theta: Fraction, w: Fraction, radius_key: int
 
     ``radius_key`` is k = ||q|| or, with ``squared``, k = ||q||_2^2.  With
     w = a/b and e = 2 if squared else 1, the strict inequality is cross-powered
-    to |p + c|^{eb} k^a < theta^{eb}, so every comparison is exact.
+    to |p + c|^{eb} k^a < theta^{eb}, so every comparison is exact.  The p
+    that satisfy it are the integers of an interval around -c: the one
+    nearest -c is tested first, then each end moves from its float guess,
+    one exact comparison a step, to the last p inside.  The cost therefore
+    does not grow with the length of the interval.
     """
     e = 2 if squared else 1
     a, b = w.numerator, w.denominator
+    power, scale, rhs = e * b, radius_key**a, theta ** (e * b)
+
+    def inside(p: int) -> bool:
+        return abs(p + c) ** power * scale < rhs
+
+    nearest = round(-c)  # on a tie both neighbours are as near
+    if not inside(nearest):
+        return 0
+
+    def last_inside(p: int, step: int) -> int:
+        # from a guess p on the ``step`` side of ``nearest``, the end of the run that way
+        while inside(p + step):
+            p += step
+        while not inside(p):
+            p -= step
+        return p
+
     radius = float(theta) * float(radius_key) ** (-float(w) / e)
-    rhs = theta ** (e * b)
     center = -float(c)
-    lo = math.floor(center - radius) - 2
-    hi = math.ceil(center + radius) + 2
-    return sum(1 for p in range(lo, hi + 1) if abs(p + c) ** (e * b) * radius_key**a < rhs)
+    hi = last_inside(max(nearest, math.ceil(center + radius) - 1), 1)
+    lo = last_inside(min(nearest, math.floor(center - radius) + 1), -1)
+    return hi - lo + 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diophlab.counting import Convention, CountingKernel, MatrixU
+from diophlab.counting import CountingKernel, MatrixU
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import alpha, apply_flow, check_flow_time, lattice_from_u
 from diophlab.problem import ApproximationProblem, mean_constant
@@ -42,7 +42,6 @@ class ExperimentConfig:
     samples: int = 4000
     seed: int = 42
     workers: int = 1
-    convention: Convention = Convention.BOTH_SIGNS
     n_grid: tuple = (6, 7, 8, 9, 10, 11)
     t_base: int = 8
     lags: tuple = (0, 1, 2, 3)
@@ -66,7 +65,6 @@ class ExperimentConfig:
             raise ValidationError("L_grid needs at least one entry, all >= 1 and finite")
         if not 0 < self.kappa < math.inf:
             raise ValidationError("kappa must be > 0 and finite")
-        self.convention.check(self.problem)
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def _block_matrix(config: ExperimentConfig, kernel: CountingKernel) -> np.ndarra
 
     def one(i: int):
         u = sample_u_at(config.seed, i, m, n)
-        return kernel.block_counts(u, config.convention)
+        return kernel.block_counts(u)
 
     rows = _map_indexed(one, config.samples, config.workers)
     return np.stack(rows).astype(np.float64)
@@ -258,17 +256,14 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     the leading term C*N as reported.  The run passes when the gaps are flat
     across N and every mean lies within ``lln_gap`` of the finite-T mean (the
     leading-term gap tends to a nonzero offset, C*gamma_Euler for (2,1)).
-    Means are of the convention's count, so C, the finite-T mean and both
-    thresholds (``lln_gap`` and ``lln_band``) take its ``share``.
     """
     n_max = max(config.n_grid)
-    share = config.convention.share
-    C = mean_constant(config.problem) * share
+    C = mean_constant(config.problem)
     kernel = CountingKernel(config.problem, 0, n_max)
     cum = np.cumsum(_block_matrix(config, kernel), axis=1)  # Delta_{e^{s+1}} per sample
     # finite-T theoretical mean from the torus identity, per block then summed
     per_q_mean = np.prod(2.0 * kernel.rho, axis=0)
-    block_mean = 2.0 * share * np.bincount(kernel.shell_of(kernel.radii), weights=per_q_mean, minlength=n_max)
+    block_mean = 2.0 * np.bincount(kernel.shell_of(kernel.radii), weights=per_q_mean, minlength=n_max)
     finite_theory = np.cumsum(block_mean)
 
     rows = []
@@ -290,8 +285,8 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
             )
         )
     band = max(gaps) - min(gaps) if gaps else 0.0
-    gap_max = THRESHOLDS["lln_gap"] * share
-    flat = config.samples > 1 and band <= THRESHOLDS["lln_band"] * share
+    gap_max = THRESHOLDS["lln_gap"]
+    flat = config.samples > 1 and band <= THRESHOLDS["lln_band"]
     failed = [] if flat else ["gaps not flat across N"]
     far = [str(r.N) for r in rows if not abs(r.mean - r.mean_finite_theory) <= gap_max]
     if far:
@@ -336,15 +331,12 @@ def run_clt(config: ExperimentConfig) -> CltResult:
     the variance of the positive-q normalization with both candidate
     constants.  The run passes when there is no sigma2 to compare with
     (m = 1), or when the KS distance is at most ``clt_ks`` and the variance
-    lies within ``clt_var_rel`` * sigma2 of sigma2.  The counts are the
-    convention's, so they are centred with C * share and compared with
-    sigma2 * share^2.
+    lies within ``clt_var_rel`` * sigma2 of sigma2.
     """
-    share = config.convention.share
-    C = mean_constant(config.problem) * share
+    C = mean_constant(config.problem)
     # sigma2 and zeta_ratio need m + n >= 3; at m + n = 2 the run has m = 1
     consts = theory.constants(config.problem) if config.problem.dimension >= 3 else None
-    sigma2 = consts.sigma2 * share**2 if config.problem.m >= 2 else None
+    sigma2 = consts.sigma2 if config.problem.m >= 2 else None
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, config.N))
     totals = blocks.sum(axis=1)
 
@@ -365,23 +357,24 @@ def run_clt(config: ExperimentConfig) -> CltResult:
             failed.append(f"variance {stats.variance:.3g} not within {var_rel:.0%} of sigma2 {sigma2:.3g}")
         verdict = "degenerate" if stats.variance == 0.0 else "; ".join(failed) or "ok"
 
-    trace = []
-    for N in (8, config.N) if config.N > 8 else ():
-        s = summarize(normalized(N), sigma2)
-        trace.append(CltTraceRow(N=N, variance=s.variance, cum3=s.cum3, cum4=s.cum4, ks=s.ks_distance))
+    trace = ()
+    if config.N > 8:  # the row at N summarises D itself
+        rows = ((8, summarize(normalized(8), sigma2)), (config.N, stats))
+        trace = tuple(
+            CltTraceRow(N=N, variance=s.variance, cum3=s.cum3, cum4=s.cum4, ks=s.ks_distance) for N, s in rows
+        )
 
     factor2 = None
-    if consts is not None and config.problem.n == 1 and config.convention is Convention.BOTH_SIGNS:
-        # positive-q normalization: Delta_pos = Delta/2 exactly, C_m = C/2
-        D_vec = (totals / 2.0 - (C / 2.0) * config.N) / math.sqrt(config.N)
-        var_vec = float(np.var(D_vec))
-        sigma_vec_thm = 2.0 * (C / 2.0) * consts.zeta_ratio  # one-dimensional statement
+    if consts is not None and config.problem.n == 1:
+        # the positive-q count is Delta/2 exactly, so its D has variance Var(D)/4;
+        # the one-dimensional statement 2 (C/2) zeta_ratio is sigma2/2
+        var_pos, sigma_m, quarter = stats.variance / 4.0, sigma2 / 2.0, sigma2 / 4.0
         factor2 = {
-            "var_positive_q": var_vec,
-            "sigma_m_theorem": sigma_vec_thm,
-            "sigma_mn_quarter": (consts.sigma2 / 4.0) if consts.sigma2 else None,
-            "ratio_to_sigma_m": var_vec / sigma_vec_thm if sigma_vec_thm else None,
-            "ratio_to_quarter": (var_vec / (consts.sigma2 / 4.0)) if consts.sigma2 else None,
+            "var_positive_q": var_pos,
+            "sigma_m_theorem": sigma_m,
+            "sigma_mn_quarter": quarter,
+            "ratio_to_sigma_m": var_pos / sigma_m,
+            "ratio_to_quarter": var_pos / quarter,
         }
 
     return CltResult(
@@ -390,7 +383,7 @@ def run_clt(config: ExperimentConfig) -> CltResult:
         stats=stats,
         sigma2_theory=sigma2,
         verdict=verdict,
-        trace=tuple(trace),
+        trace=trace,
         factor2=factor2,
         constants=consts,
         passed=not failed,
@@ -434,20 +427,17 @@ def run_covariance(config: ExperimentConfig) -> CovarianceResult:
     Also checks the variance chain: Var(D_{e^N}) against the stationary
     finite-N prediction (1/N) sum_{|s|<N} (N - |s|) Theta_inf(s).  The run
     passes when every lag and the chain lie within ``cov_nsigma`` stderr.
-    The counts are the convention's, so D is centred with C * share and
-    Theta_inf takes share^2.
     """
     lags, t = config.lags, config.t_base
     if config.problem.m < 2:
         raise ValidationError("covariance theory comparison needs m >= 2")
     N = max(config.N, t + max(lags) + 1)
     blocks = _block_matrix(config, CountingKernel(config.problem, 0, N))
-    share = config.convention.share
-    C = mean_constant(config.problem) * share
+    C = mean_constant(config.problem)
     nsig = THRESHOLDS["cov_nsigma"]
     # one Theta_inf per distinct |s|, ascending
     distinct = sorted({abs(s) for s in lags} | set(range(config.N)))
-    theta = {a: share**2 * _theta_for_lag(config.problem, a) for a in distinct}
+    theta = {a: _theta_for_lag(config.problem, a) for a in distinct}
 
     rows = []
     base = blocks[:, t] - blocks[:, t].mean()
@@ -553,10 +543,9 @@ class SiegelMeanResult:
 
 
 def run_siegel_mean(config: ExperimentConfig, s_list=(4, 6, 8)) -> SiegelMeanResult:
-    """Mean of the shell count at flow time s against the volume C (times
-    the convention's share).  The run passes when every mean lies within
-    ``mvt_nsigma`` stderr of C."""
-    C = mean_constant(config.problem) * config.convention.share
+    """Mean of the shell count at flow time s against the volume C.  The run
+    passes when every mean lies within ``mvt_nsigma`` stderr of C."""
+    C = mean_constant(config.problem)
     nsig = THRESHOLDS["mvt_nsigma"]
     rows = []
     for s in s_list:

@@ -108,8 +108,6 @@ def unit_ball_volume(norm: Norm, n: int) -> float:
 
     if n == 0:
         return 1.0
-    if isinstance(norm, str):
-        norm = Norm(norm)
 
     if norm is Norm.SUP:
         # slice at y_n = t is the full (n-1)-dimensional unit ball
@@ -136,8 +134,6 @@ def omega_n(norm: Norm, n: int) -> float:
     Equivalently the integral of ||z||^{-n} over the Euclidean unit sphere
     (counting measure of mass 2 for n = 1), i.e. n * vol{||y|| <= 1}.
     """
-    if isinstance(norm, str):
-        norm = Norm(norm)
     if n < 1:
         raise ValidationError("omega_n needs n >= 1")
     if norm is Norm.SUP:

@@ -1,9 +1,11 @@
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import diophlab
-from diophlab.counting import CountingKernel
+from diophlab.counting import Convention, CountingKernel
+from diophlab.montecarlo import ExperimentConfig
 from diophlab.problem import ApproximationProblem, validate
 
 # second copies removed in favour of the paths that experiments run
@@ -32,6 +34,9 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     assert not hasattr(CountingKernel, "count_up_to")
     assert not hasattr(CountingKernel, "_shell_counts")
     assert not hasattr(CountingKernel(P11, 0, 2), "block_of")
+    # the experiments count both signs; only ``count`` takes a convention
+    assert not hasattr(Convention, "share")
+    assert "convention" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_readme_library_example_runs():

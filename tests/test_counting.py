@@ -269,6 +269,40 @@ def test_exact_open_count_radius_keys():
     assert _exact_open_count(Fraction(1, 2), Fraction(1), Fraction(1), 2, False) == 0  # |p + 1/2| < 1/2
 
 
+def _exact_open_count_by_loop(c, theta, w, radius_key, squared):
+    # the reference: one exact comparison per p of a float bracket around the interval
+    e = 2 if squared else 1
+    a, b = w.numerator, w.denominator
+    radius = float(theta) * float(radius_key) ** (-float(w) / e)
+    center = -float(c)
+    lo, hi = math.floor(center - radius) - 2, math.ceil(center + radius) + 2
+    return sum(1 for p in range(lo, hi + 1) if abs(p + c) ** (e * b) * radius_key**a < theta ** (e * b))
+
+
+def test_exact_open_count_matches_the_loop_over_every_p():
+    # dyadic, integer and half-integer centres; theta = 4, w = 1 at k = 2, or
+    # theta = 3/2, w = 1/2 at k = 1 with c = 1/2, put the endpoints on integers
+    centres = [Fraction(x) for x in ("0", "3", "1/2", "-3/2", "5/4", "-7/8", "1/1024")]
+    pairs = (("1", "1"), ("4", "1"), ("3/2", "1/2"), ("6", "2"), ("9", "3/2"), ("1/2", "1"))
+    forms = [(Fraction(theta), Fraction(w)) for theta, w in pairs]
+    for c, (theta, w), k, squared in itertools.product(centres, forms, range(1, 10), (False, True)):
+        assert _exact_open_count(c, theta, w, k, squared) == _exact_open_count_by_loop(c, theta, w, k, squared)
+    # |p| < 2^40: the cost does not grow with the interval
+    assert _exact_open_count(0, 2**40, 1, 1, False) == 2**41 - 1
+    # theta = 2^60 +- 1 is 2^60 as a double, so the float guess of each end is
+    # one short (+1) or one over (-1) and only the exact walk settles it
+    assert _exact_open_count(0, 2**60 + 1, 1, 1, False) == 2**61 + 1
+    assert _exact_open_count(0, 2**60 - 1, 1, 1, False) == 2**61 - 3
+
+
+def test_count_direct_settles_wide_integer_endpoints():
+    # u = 0 puts the endpoint 10^6 / q of every q | 10^6 on an integer, so those
+    # q escalate; q counts the 2 ceil(10^6 / q) - 1 integers p with |p| < 10^6 / q
+    p = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(1e6,)))
+    want = 2 * sum(2 * -(-(10**6) // q) - 1 for q in range(1, 21))
+    assert count_direct(p, U0, math.e**3).total == want == 14390948
+
+
 def test_block_oracle_euclidean():
     p22 = validate(
         ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.7), norm=Norm.EUCLIDEAN)
@@ -280,6 +314,15 @@ def test_block_oracle_euclidean():
             assert CountingKernel(p22, s, s + 1).block_counts(u)[0] == brute_force_block(p22, u, s)
 
 
+def test_positive_q_counts_half_of_every_shell():
+    # (p, q) <-> (-p, -q) pairs the q > 0 count with the q < 0 one on every sample
+    kernel = CountingKernel(P21, 0, 9)
+    for i in range(5):
+        u = montecarlo.sample_u_at(3, i, 2, 1)
+        half = kernel.block_counts(u, Convention.POSITIVE_Q)
+        assert half.any() and np.array_equal(2 * half, kernel.block_counts(u))
+
+
 def test_positive_q_requires_n1(monkeypatch):
     # refused before the q-grid is built: a build would raise AssertionError here
     def no_build(self):
@@ -289,8 +332,6 @@ def test_positive_q_requires_n1(monkeypatch):
     p = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.6,)))
     with pytest.raises(ValidationError, match="n = 1"):
         count_direct(p, MatrixU(np.zeros((1, 2))), 10.0, Convention.POSITIVE_Q)
-    with pytest.raises(ValidationError, match="n = 1"):
-        montecarlo.ExperimentConfig(problem=p, N=8, convention=Convention.POSITIVE_Q)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -10,7 +10,6 @@ import pytest
 
 from diophlab import montecarlo, theory
 from diophlab.cli import main
-from diophlab.counting import Convention
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.montecarlo import (
     ExperimentConfig,
@@ -237,7 +236,7 @@ def test_run_clt_fields_and_m1():
     assert [row.N for row in res.trace] == [8, 9]  # traced at N = 8 and at N, once N > 8
     assert res.trace[1].ks == res.stats.ks_distance and res.trace[1].variance == res.stats.variance
     assert res.factor2 is not None
-    assert res.factor2["var_positive_q"] == pytest.approx(res.stats.variance / 4.0, rel=1e-12)
+    assert res.factor2["var_positive_q"] == res.stats.variance / 4
 
     p12 = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.7,)))
     res12 = run_clt(ExperimentConfig(problem=p12, N=4, samples=60, seed=3))
@@ -288,35 +287,6 @@ def test_run_alpha_tail_trivial_L1():
     assert rows[0].L == 1.0 and rows[0].tail == 1.0  # alpha >= 1 always
     assert rows[1].tail <= rows[0].tail  # nested events
     assert rows[0].s == 0
-
-
-def test_positive_convention_is_judged_against_its_own_constants():
-    # POSITIVE_Q counts exactly half of every both-signs count, so a run centres
-    # with C/2 and compares with sigma2/4 and Theta_inf/4: every verdict and KS
-    # distance is the both-signs run's, and every mean and variance is scaled exactly
-    def pair(run, **kw):
-        return [run(ExperimentConfig(problem=P21, convention=c, **kw)) for c in Convention]
-
-    both, pos = pair(run_clt, N=8, samples=400, seed=3)
-    assert pos.stats.ks_distance == both.stats.ks_distance and pos.passed == both.passed
-    assert pos.stats.mean == both.stats.mean / 2 and pos.stats.variance == both.stats.variance / 4
-    assert pos.sigma2_theory == both.sigma2_theory / 4
-    assert pos.constants == both.constants == theory.constants(P21)
-
-    both, pos = pair(run_covariance, N=6, samples=40, seed=2, t_base=3, lags=(0, 1, -1))
-    assert both.passed and pos.passed
-    for r0, r1 in zip(both.rows, pos.rows):
-        assert (r1.empirical, r1.stderr, r1.theory) == (r0.empirical / 4, r0.stderr / 4, r0.theory / 4)
-        assert r1.within == r0.within
-    assert (pos.var_D, pos.var_prediction) == (both.var_D / 4, both.var_prediction / 4)
-
-    pos = ExperimentConfig(problem=P21, samples=20, seed=2, convention=Convention.POSITIVE_Q)
-    assert run_siegel_mean(pos, s_list=(4,)).rows[0].theory == 4.0
-
-    # lln halves its thresholds with the band; on this seed the band (1.06) is not flat
-    both, pos = pair(run_lln, samples=200, seed=10, n_grid=(6, 7, 8, 9))
-    assert (pos.verdict, pos.passed) == (both.verdict, both.passed) == ("gaps not flat across N", False)
-    assert (pos.band, pos.gap_threshold) == (both.band / 2, both.gap_threshold / 2)
 
 
 def test_run_siegel_mean_small():

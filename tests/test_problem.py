@@ -53,6 +53,14 @@ def test_omega_closed_forms():
     assert omega_n(Norm.EUCLIDEAN, 1) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_omega_takes_a_norm_not_its_name():
+    # every caller passes a Norm (ApproximationProblem makes ``norm`` one)
+    with pytest.raises(ValidationError, match="unsupported norm"):
+        omega_n("sup", 1)
+    with pytest.raises(ValidationError, match="unsupported norm"):
+        unit_ball_volume("euclidean", 2)
+
+
 @pytest.mark.parametrize("norm", [Norm.SUP, Norm.EUCLIDEAN])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_omega_quadrature_agrees(norm, n):
