@@ -8,11 +8,18 @@ error bound of an integer (``per_q_product_counts`` states the bound and its
 one assumption; entries of u are dyadic, q is integral, weights are
 rational, so the strict inequality can be settled by cross-powering).
 
-Counting is candidate-first and sparse.  q streams in chunks of ``_CHUNK``
-columns through two reused buffers.  Form 0 keeps the q whose interval is
-wide or may hold an integer; the other forms and the escalation see only
-those, and only the q with a nonzero count leave the chunk, so the memory
-of a call is bounded by the chunk, not by the grid.
+Counting is candidate-first and sparse, and no q-grid is kept.  Per
+sample, ``_form0_candidates`` lists the q that form 0 may keep by a
+baby-step/giant-step search on the circle: the residues frac(x u_01) of one
+axis coordinate are sorted once, and each row of the other coordinates finds
+its x near an integer by ``searchsorted``.  Rows are padded by the float
+error bound, so the list is a superset of the q with a nonzero count (the
+docstring states the argument), of about K^{1/2} log K entries for n <= 2
+instead of the K of the window.  ``per_q_product_counts`` then streams those
+candidates in chunks of ``_CHUNK`` columns through two reused buffers and
+settles every count: form 0 again, the other forms and the escalation on
+its survivors only.  Shell totals are summed in int64, and a kernel whose
+counts could leave int64 is refused when it is built.
 
 Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
 ``squared_radii(problem)`` holds (Euclidean norm, n >= 2), so the square
@@ -132,6 +139,29 @@ def block_sq_radius_range(s: int) -> tuple[int, int]:
     return _ceil_exp(2 * s), _ceil_exp(2 * s + 2) - 1
 
 
+def _box(n: int, lo: int, hi: int, squared: bool) -> tuple[int, int]:
+    """(k_max, points): the largest |q_j| of the key window lo <= key <= hi
+    (lo >= 1 at n = 1) and the points of its q-box, hi - lo + 1 at n = 1 and
+    (2 k_max + 1)^n otherwise."""
+    k_max = math.isqrt(hi) if squared else hi
+    return k_max, hi - lo + 1 if n == 1 else (2 * k_max + 1) ** n
+
+
+def _check_cap(points: int) -> None:
+    cap = enumeration_cap()
+    if points > cap:
+        raise CapExceededError(f"q-grid of {points} points > cap {cap} (set DIOPH_CAP to raise)")
+
+
+def _tail_box(n: int, k_max: int, squared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The trailing (n-1)-dim box [-k_max, k_max]^{n-1} in lexicographic (ravel)
+    order, as (tail, part): the points and the radius key each adds to q_1's."""
+    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * (n - 1)
+    tail = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    part = np.sum(tail * tail, axis=0) if squared else np.max(np.abs(tail), axis=0)
+    return tail, part
+
+
 def half_space_grid(n: int, lo: int, hi: int, squared: bool) -> tuple[np.ndarray, np.ndarray]:
     """One q from each {q, -q} pair with lo <= ||q||_sup <= hi, as (q, radii).
 
@@ -145,18 +175,12 @@ def half_space_grid(n: int, lo: int, hi: int, squared: bool) -> tuple[np.ndarray
         lo = max(lo, 1)
     if hi < lo:
         return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    k_max = math.isqrt(hi) if squared else hi
-    points = hi - lo + 1 if n == 1 else (2 * k_max + 1) ** n
-    cap = enumeration_cap()
-    if points > cap:
-        raise CapExceededError(f"q-grid of {points} points > cap {cap} (set DIOPH_CAP to raise)")
+    k_max, points = _box(n, lo, hi, squared)
+    _check_cap(points)
     if n == 1:
         q = np.arange(lo, hi + 1, dtype=np.int64)
         return q.reshape(1, -1), q
-    # the trailing (n-1)-dim box in lexicographic (ravel) order and its radius
-    axes = [np.arange(-k_max, k_max + 1, dtype=np.int64)] * (n - 1)
-    tail = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    part = np.sum(tail * tail, axis=0) if squared else np.max(np.abs(tail), axis=0)
+    tail, part = _tail_box(n, k_max, squared)
 
     def slab(lead, tail, part):
         # window points (l, t), l in lead and t in tail, in row-major order
@@ -234,6 +258,17 @@ def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarr
     return rho
 
 
+def _check_shape(problem: ApproximationProblem, u: MatrixU) -> None:
+    if u.m != problem.m or u.n != problem.n:
+        raise ValidationError("u has wrong shape for the problem")
+
+
+def _float_err(n: int, l1: int, theta: float) -> float:
+    """The certified float error bound err_i of ``per_q_product_counts`` for a
+    form with this theta, on q with ||q||_1 <= l1."""
+    return _SAFETY * 2.0**-52 * (n * l1 + 2.0 * theta + 1.0)
+
+
 def _dot_gap(u_row: np.ndarray, q: np.ndarray, rho: np.ndarray, t: np.ndarray, gap: np.ndarray) -> None:
     """t = <u_row, q>, summed term by term, and gap = ||t|| - rho, with
     ||t|| = |t - rint(t)| exact in floats; q holds integer columns."""
@@ -304,8 +339,7 @@ def per_q_product_counts(
     by exact rationals (``_exact_open_count``) only when an endpoint, or
     ||t|| against rho_i for a narrow interval, lies within err_i of flipping.
     """
-    if u.m != problem.m or u.n != problem.n:
-        raise ValidationError("u has wrong shape for the problem")
+    _check_shape(problem, u)
     n = problem.n
     squared = squared_radii(problem)
     buf = np.empty((2, min(q_int.shape[1], _CHUNK)))  # t and gap of form 0, reused by every chunk
@@ -317,7 +351,7 @@ def per_q_product_counts(
         l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the chunk
         live = slice(None)  # form 0 runs on every column
         for i in range(problem.m):
-            err = _SAFETY * 2.0**-52 * (n * l1 + 2.0 * problem.thetas[i] + 1.0)
+            err = _float_err(n, l1, problem.thetas[i])
             t, gap = buf[:, : keys.size] if i == 0 else np.empty((2, live.size))
             _dot_gap(u.entries[i], q[:, live], rho_c[i, live], t, gap)
             if i == 0:
@@ -340,17 +374,112 @@ def per_q_product_counts(
 
 
 # ---------------------------------------------------------------------------
+# form-0 candidates by sorted residues
+
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]  # lower and upper end of a range
+
+
+def _near_integer(axis_u: float, size: int, c: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, row) for every x in [0, size) and row with
+    r_x in [j - c_row - delta_row, j - c_row + delta_row) for j = 0, 1 or 2,
+    r_x = frac(x axis_u), all in floats.
+
+    Baby steps: the residues r_x, sorted once.  Giant steps: the three ranges
+    of every row, found in the sorted residues by one searchsorted.  With
+    c_row in [0, 1] (so r_x + c_row in [0, 2]) and delta_row < 1/2 these are
+    the x with ||x axis_u + c_row|| < delta_row; a row with c_row = 0 and
+    delta_row = 1/2 tiles [0, 1) exactly and takes every x once.  The ranges
+    of a row must not overlap, so the caller keeps delta_row clear of 1/2.
+    """
+    r = np.arange(size, dtype=np.float64)
+    r *= axis_u
+    r -= np.floor(r)  # exact
+    order = np.argsort(r, kind="stable")
+    bounds = (np.arange(3.0)[:, None] - c) + _SIGNS * delta  # (lower/upper, j, row)
+    first, last = np.searchsorted(r[order], bounds)
+    length = (last - first).ravel()
+    pos = np.repeat(first.ravel() - (np.cumsum(length) - length), length)
+    pos += np.arange(pos.size)
+    return order[pos], np.repeat(np.arange(3 * c.size) % c.size, length)
+
+
+def _form0_candidates(problem: ApproximationProblem, u: MatrixU, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, keys): the half-space q with lo <= key <= hi that may pass form 0,
+    a superset of every q with a nonzero count.
+
+    q is split into an axis coordinate x and a row: x = q_1 in [0, k_max] and
+    the row the trailing (n-1)-box point t (the box ``half_space_grid``
+    builds), or, at n = 1, q = x + M b with M a power of 2 near sqrt(hi),
+    x in [0, M) and the row b.  A row's offset c = frac(<u_0, q> - x u_01)
+    and its key lower bound R (max(part(t), lo), or max(M b, lo)) do not
+    depend on x; rho_0 decreases in the key, so every q of the row has
+    rho_0(q) <= theta_0 R^{-w_0/e} (e = 2 for squared keys, else 1).  The
+    row keeps the x with ||x u_01 + c|| < delta in floats, where
+
+        delta = theta_0 R^{-w_0/e} + 3 err_max,
+
+    err_max being the bound err_0 of ``per_q_product_counts`` at
+    l1 = n k_max >= ||q||_1.  Superset: frac of a nonnegative float is exact
+    (of a negative one, within 2^-53), u_01 M is exact (M a power of 2), and
+    the residue, the offset, the float radius and the searchsorted bounds are
+    each within err_max of their exact values, so a q with
+    ||<u_0, q>|| < rho_0(q) passes.  A row with delta >= 1/2 - 3 err_max,
+    whose three residue ranges could meet, takes every x, so the wide q are
+    covered too.  The caller runs ``per_q_product_counts`` on the result,
+    which settles every count exactly as on the whole grid.
+    """
+    _check_shape(problem, u)
+    n, squared = problem.n, squared_radii(problem)
+    if n == 1:
+        lo = max(lo, 1)
+    if hi < lo:
+        return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    k_max = _box(n, lo, hi, squared)[0]
+    u0 = u.entries[0]
+    if n == 1:
+        size = 1 << (hi.bit_length() + 1) // 2
+        b = np.arange(lo // size, hi // size + 1, dtype=np.int64)
+        c = b * (u0[0] * size)
+        floor_key = np.maximum(b * size, lo)
+    else:
+        size = k_max + 1
+        tail, part = _tail_box(n, k_max, squared)
+        c = tail[0] * u0[1]
+        for k in range(2, n):
+            c += tail[k - 1] * u0[k]
+        floor_key = np.maximum(part, lo)
+    c -= np.floor(c)
+    err = 3.0 * _float_err(n, n * k_max, problem.thetas[0])
+    delta = interval_radii(problem, floor_key)[0]
+    delta += err
+    whole = delta >= 0.5 - err  # its ranges could meet: take every x instead
+    c[whole], delta[whole] = 0.0, 0.5
+    x, row = _near_integer(u0[0], size, c, delta)
+    if n == 1:
+        keys = x + size * b[row]
+        keys = keys[(keys >= lo) & (keys <= hi)]
+        return keys.reshape(1, -1), keys
+    keys = x * x + part[row] if squared else np.maximum(x, part[row])
+    # q_1 = 0 keeps the rows after the origin (first nonzero coordinate positive)
+    keep = (keys >= lo) & (keys <= hi) & ((x > 0) | (row > part.size // 2))
+    x, row = x[keep], row[keep]
+    return np.concatenate([x[None], tail[:, row]]), keys[keep]
+
+
+# ---------------------------------------------------------------------------
 # counting kernel
 
 class CountingKernel:
-    """Precomputed q-grid and interval radii for the shells s_lo <= s < s_hi.
+    """Shell counts for the shells s_lo <= s < s_hi, one sample u at a time.
 
-    Denominators are enumerated from the positive half-space only (first
-    nonzero coordinate of q positive); the both-signs count is exactly twice
-    that by the symmetry (p, q) <-> (-p, -q).  Build once, then map
-    ``block_counts`` over many samples: the q-grid ``q_int``, its radius
-    keys ``radii`` and the interval radii ``rho`` = theta_i * ||q||^{-w_i}
-    do not depend on u.
+    Denominators come from the positive half-space only (first nonzero
+    coordinate of q positive); the both-signs count is exactly twice that by
+    the symmetry (p, q) <-> (-p, -q).  The kernel holds the key window
+    ``lo``..``hi`` of its shells and the shell starts, nothing sized by the
+    window: each ``block_counts`` call draws its q from
+    ``_form0_candidates``.  Building one refuses a window whose box exceeds
+    ``enumeration_cap()`` (CapExceededError) and one whose counts could leave
+    int64 (ValidationError).
     """
 
     def __init__(self, problem: ApproximationProblem, s_lo: int, s_hi: int):
@@ -365,10 +494,19 @@ class CountingKernel:
         p = self.problem
         squared = squared_radii(p)
         radius_range = block_sq_radius_range if squared else block_radius_range
-        lo, hi = radius_range(self.s_lo)[0], radius_range(self.s_hi - 1)[1]
-        self.q_int, self.radii = half_space_grid(p.n, lo, hi, squared)
-        self._starts = np.array([radius_range(j)[0] for j in range(self.s_lo + 1, self.s_hi)], dtype=np.int64)
-        self.rho = interval_radii(p, self.radii)
+        ranges = [radius_range(s) for s in range(self.s_lo, self.s_hi)]
+        self.lo, self.hi = ranges[0][0], ranges[-1][1]
+        _check_cap(_box(p.n, self.lo, self.hi, squared)[1])
+        # a q of shell s counts at most prod_i (2 theta_i lo_s^{-w_i/e} + 1), and
+        # twice the points of the shell's box bound its q of both signs
+        e = 2 if squared else 1
+        bound = 0.0
+        for lo, hi in ranges:
+            per_q = math.prod(2.0 * t * lo ** (-w / e) + 1.0 for t, w in zip(p.thetas, p.weights_float()))
+            bound += 2.0 * _box(p.n, lo, hi, squared)[1] * per_q
+        if bound >= 2.0**62:
+            raise ValidationError(f"counts up to ~{bound:.3g} may not fit int64; lower the thetas or the shells")
+        self._starts = np.array([lo for lo, _ in ranges[1:]], dtype=np.int64)
 
     @property
     def n_shells(self) -> int:
@@ -386,13 +524,12 @@ class CountingKernel:
         """Counts for the shells s = s_lo .. s_hi-1, in that order, of the q
         with radius key <= ``below`` (all q if None)."""
         convention.check(self.problem)
-        cols, counts = per_q_product_counts(self.problem, u, self.q_int, self.radii, self.rho)
-        keys = self.radii[cols]
-        if below is not None:
-            keep = keys <= below
-            keys, counts = keys[keep], counts[keep]
-        out = np.bincount(self.shell_of(keys), weights=counts, minlength=self.n_shells)
-        return out.astype(np.int64) * (2 if convention is Convention.BOTH_SIGNS else 1)
+        hi = self.hi if below is None else min(self.hi, below)
+        q, keys = _form0_candidates(self.problem, u, self.lo, hi)
+        cols, counts = per_q_product_counts(self.problem, u, q, keys, interval_radii(self.problem, keys))
+        out = np.zeros(self.n_shells, dtype=np.int64)
+        np.add.at(out, self.shell_of(keys[cols]), counts)  # int64: exact beyond 2^53
+        return out * (2 if convention is Convention.BOTH_SIGNS else 1)
 
 
 def _blocks_needed_for(T: float) -> int:

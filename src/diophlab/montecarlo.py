@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diophlab.counting import CountingKernel, MatrixU
+from diophlab.counting import CountingKernel, MatrixU, half_space_grid, interval_radii, squared_radii
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import alpha, apply_flow, check_flow_time, lattice_from_u
 from diophlab.problem import ApproximationProblem, mean_constant
@@ -262,8 +262,9 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     kernel = CountingKernel(config.problem, 0, n_max)
     cum = np.cumsum(_block_matrix(config, kernel), axis=1)  # Delta_{e^{s+1}} per sample
     # finite-T theoretical mean from the torus identity, per block then summed
-    per_q_mean = np.prod(2.0 * kernel.rho, axis=0)
-    block_mean = 2.0 * np.bincount(kernel.shell_of(kernel.radii), weights=per_q_mean, minlength=n_max)
+    _, radii = half_space_grid(config.problem.n, kernel.lo, kernel.hi, squared_radii(config.problem))
+    per_q_mean = np.prod(2.0 * interval_radii(config.problem, radii), axis=0)
+    block_mean = 2.0 * np.bincount(kernel.shell_of(radii), weights=per_q_mean, minlength=n_max)
     finite_theory = np.cumsum(block_mean)
 
     rows = []

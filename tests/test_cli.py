@@ -292,6 +292,26 @@ def test_count_refuses_T_with_logT(tmp_path, capsys):
     assert "--logT" in capsys.readouterr().err
 
 
+def test_count_shell_totals_are_exact_beyond_2_53(tmp_path, capsys):
+    # u = 0, theta = 1e17: shell 0 holds q = +-1, +-2 with |p| < 10^17 / q, so
+    # 2 ((2 10^17 - 1) + (10^17 - 1)), which a float64 sum rounds to 6 10^17
+    argv = ["count", "--m", "1", "--n", "1", "--weights", "1", "--thetas", "1e17", "--logT", "3", "--u", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["per_block"][0] == 599999999999999996
+    assert record["total"] == sum(record["per_block"]) == 1439095862857472748
+
+
+def test_count_refuses_counts_beyond_int64(tmp_path, capsys, monkeypatch):
+    # theta = 1e20: q = 1 alone counts 2 10^20 - 1 > 2^63; refused before counting
+    from diophlab import counting
+
+    monkeypatch.setattr(counting, "_form0_candidates", None)  # a count would raise TypeError
+    argv = ["count", "--m", "1", "--n", "1", "--weights", "1", "--thetas", "1e20", "--logT", "3", "--u", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert "int64" in capsys.readouterr().err
+
+
 def test_alpha_tail_node_cap_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lattice, "_ALPHA_CAP", 0)
     argv = ["alpha-tail", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--samples", "2"]

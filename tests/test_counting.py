@@ -169,7 +169,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch, problem, N):
     monkeypatch.setattr(counting, "_CHUNK", 10**9)
     whole = counts()
     monkeypatch.setattr(counting, "_CHUNK", 7)
-    assert kernel.q_int.shape[1] > 7
+    assert all(counting._form0_candidates(problem, u, kernel.lo, kernel.hi)[1].size > 7 for u in us)
     for (blocks, siegel), (want_blocks, want_siegel) in zip(counts(), whole):
         assert blocks.dtype == want_blocks.dtype and np.array_equal(blocks, want_blocks)
         assert siegel == want_siegel
@@ -197,34 +197,120 @@ def test_candidate_filter_matches_brute_force(monkeypatch, problem, N, chunk):
     us = [MatrixU(rng.random(shape)) for _ in range(3)]
     us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)] + [MatrixU(np.full(shape, 0.25))]
     kernel = CountingKernel(problem, 0, N)
-    assert kernel.rho.max() >= 1.0 and kernel.q_int.shape[1] > 7
+    q, radii = half_space_grid(problem.n, kernel.lo, kernel.hi, counting.squared_radii(problem))
+    rho = counting.interval_radii(problem, radii)
+    assert rho.max() >= 1.0 and q.shape[1] > 7
     monkeypatch.setattr(counting, "_CHUNK", chunk)
     for u in us:
         want = [brute_force_block(problem, u, s) for s in range(N)]
         assert kernel.block_counts(u).tolist() == want
-        cols, counts = counting.per_q_product_counts(problem, u, kernel.q_int, kernel.radii, kernel.rho)
+        cols, counts = counting.per_q_product_counts(problem, u, q, radii, rho)
         assert np.all(np.diff(cols) > 0) and np.all(counts != 0)
         assert 2 * int(counts.sum()) == sum(want)
 
 
+P11_WIDE = validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(300.0,)))
+P21_THIRD = validate(
+    ApproximationProblem(m=2, n=1, weights=(Fraction(1, 3), Fraction(2, 3)), thetas=(1.0, 1.0))
+)
+P22S = validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 0.7)))
+P12E = validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(0.6,), norm=Norm.EUCLIDEAN))
+# problem and shell count N of each case of the form-0 candidate generator
+GENERATOR_CASES = {
+    "21-wide": (P21_WIDE, 6),
+    "21-edge": (P21_EDGE, 4),
+    "13-wide": (P13_WIDE, 2),
+    "11-theta300": (P11_WIDE, 5),
+    "21-third": (P21_THIRD, 6),
+    "22-sup": (P22S, 3),
+    "22-euclid": (P22E, 3),
+    "12-euclid": (P12E, 3),
+}
+
+
+def _generator_us(problem, seed):
+    # u = 0 and 1/2 put every <u_i, q> on an integer or a half-integer,
+    # dyadics of denominator 8, 1024 and 2^20 put many near one, and full
+    # 53-bit u almost none
+    shape = (problem.m, problem.n)
+    rng = np.random.default_rng(seed)
+    us = [MatrixU(np.zeros(shape)), MatrixU(np.full(shape, 0.5))]
+    us += [MatrixU(rng.integers(0, den, shape) / den) for den in (8, 1024, 2**20)]
+    return us + [MatrixU(rng.integers(0, 2**53, shape) / 2**53) for _ in range(2)]
+
+
+def _scan_counts(kernel, u, convention=Convention.BOTH_SIGNS, below=None):
+    # per_q_product_counts over every q of the window, binned by shell
+    problem = kernel.problem
+    hi = kernel.hi if below is None else min(kernel.hi, below)
+    q, radii = half_space_grid(problem.n, kernel.lo, hi, counting.squared_radii(problem))
+    cols, counts = counting.per_q_product_counts(problem, u, q, radii, counting.interval_radii(problem, radii))
+    out = np.zeros(kernel.n_shells, dtype=np.int64)
+    np.add.at(out, kernel.shell_of(radii[cols]), counts)
+    return out * (2 if convention is Convention.BOTH_SIGNS else 1)
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_generator_matches_scan_and_oracle(monkeypatch, case, chunk):
+    problem, N = GENERATOR_CASES[case]
+    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    kernel = CountingKernel(problem, 0, N)
+    for u in _generator_us(problem, 47):
+        got = kernel.block_counts(u)
+        assert got.dtype == np.int64 and np.array_equal(got, _scan_counts(kernel, u))
+        assert got.tolist() == [brute_force_block(problem, u, s) for s in range(N)]
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_generator_single_shell_kernels_above_shell_0(case):
+    # s_lo > 0 moves the rows' key lower bound off the box: max(part, lo)
+    problem, N = GENERATOR_CASES[case]
+    for s in range(1, N):
+        kernel = CountingKernel(problem, s, s + 1)
+        for u in _generator_us(problem, 53):
+            got = kernel.block_counts(u)
+            assert np.array_equal(got, _scan_counts(kernel, u))
+            assert got[0] == brute_force_block(problem, u, s)
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_generator_count_direct_off_threshold(case):
+    # T inside the last shell cuts the window below its top key
+    problem, N = GENERATOR_CASES[case]
+    squared = counting.squared_radii(problem)
+    conventions = list(Convention) if problem.n == 1 else [Convention.BOTH_SIGNS]
+    for T in (1.37 * math.e ** (N - 1), math.ceil(math.e ** (N - 1)) + 0.5):
+        below = counting._sup_radius_below(T, squared)
+        for u, convention in itertools.product(_generator_us(problem, 59), conventions):
+            res = count_direct(problem, u, T, convention)
+            kernel = CountingKernel(problem, 0, len(res.per_block))
+            assert res.per_block == tuple(_scan_counts(kernel, u, convention, below))
+            assert res.total == brute_force_count(problem, u, T, convention)
+
+
 def test_block_counts_memory_does_not_grow_with_the_grid():
-    # only the hits leave a chunk, so one call allocates about two chunk-sized
-    # float buffers whatever K; a K-sized per-sample array would cost 8 K bytes
+    # a call allocates per form-0 candidate (about 4 K^{1/2} of the K q at
+    # (2,1)), never per q of the window: one K-sized array costs 8 K bytes
     import tracemalloc
 
     peaks = []
-    for N in (12, 14):
+    for N in (12, 14, 16):
         kernel = CountingKernel(P21, 0, N)
         kernel.block_counts(montecarlo.sample_u_at(5, 0, 2, 1))
+        u = montecarlo.sample_u_at(5, 1, 2, 1)
         tracemalloc.start()
         try:
-            kernel.block_counts(montecarlo.sample_u_at(5, 1, 2, 1))
+            kernel.block_counts(u)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert kernel.q_int.shape[1] > 2 * counting._CHUNK
-    assert peaks[1] <= 1.05 * peaks[0]
-    assert max(peaks) <= 24 * counting._CHUNK < 8 * kernel.q_int.shape[1]
+        candidates = counting._form0_candidates(P21, u, kernel.lo, kernel.hi)[1].size
+        assert peaks[-1] <= 128 * candidates + 65536
+    window = kernel.hi - kernel.lo + 1  # K at n = 1
+    assert candidates < window / 500
+    assert peaks[-1] < 8 * window / 30
+    assert peaks[-1] < 16 * peaks[0]  # K grows 55-fold from N = 12
 
 
 def test_ceil_exp_matches_exact_taylor_bracket():
@@ -376,8 +462,9 @@ def test_shell_of_thresholds_are_the_radius_ranges(problem, s_lo, s_hi):
             assert radius_range(s - 1)[1] == start - 1
             assert kernel.shell_of(np.array([start - 1]))[0] == s - 1 - s_lo
     lo, hi = np.array([radius_range(s) for s in range(s_lo, s_hi)]).T
-    shell = kernel.shell_of(kernel.radii)
-    assert np.all((lo[shell] <= kernel.radii) & (kernel.radii <= hi[shell]))
+    radii = half_space_grid(problem.n, kernel.lo, kernel.hi, squared)[1]
+    shell = kernel.shell_of(radii)
+    assert np.all((lo[shell] <= radii) & (radii <= hi[shell]))
 
 
 @pytest.mark.parametrize("problem,s_lo,s_hi", [(P21, 3, 8), (P22E, 2, 5)])
@@ -391,19 +478,51 @@ def test_multi_shell_kernel_above_shell_0_matches_block_oracle(problem, s_lo, s_
 
 
 def test_kernel_build_peak_memory_near_its_arrays():
-    # the build may not hold the whole (2k+1)^n box or stacked rho temporaries
+    # the kernel keeps no grid, so its build allocates almost nothing; the
+    # grid that run_lln's finite-T mean builds may not hold the whole
+    # (2k+1)^n box or stacked rho temporaries
     import tracemalloc
 
     CountingKernel(P22E, 0, 5)  # warm the caches of the radial thresholds
     tracemalloc.start()
     try:
         kernel = CountingKernel(P22E, 0, 5)
-        peak = tracemalloc.get_traced_memory()[1]
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        q, radii = half_space_grid(2, kernel.lo, kernel.hi, True)
+        rho = counting.interval_radii(P22E, radii)
+        grid_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = sum(a.nbytes for a in (kernel.q_int, kernel.radii, kernel.rho))
-    assert kernel.q_int.shape[1] > 30_000
-    assert peak <= 1.6 * held
+    held = sum(a.nbytes for a in (q, radii, rho))
+    assert q.shape[1] > 30_000
+    assert build_peak < 16384 < held / 50
+    assert grid_peak <= 1.6 * held
+
+
+def test_kernel_holds_nothing_sized_by_the_window():
+    # the key window and the shell starts only: no q-grid, radius keys or rho,
+    # whose windows here hold about 3 10^6, 1.9 10^6 and 3 10^4 q
+    for problem, N in ((P21, 15), (P22E, 7), (P13, 3)):
+        kernel = CountingKernel(problem, 0, N)
+        for name, value in vars(kernel).items():
+            assert not isinstance(value, np.ndarray) or value.size < kernel.n_shells, name
+        assert not any(hasattr(kernel, a) for a in ("q_int", "radii", "rho"))
+
+
+def test_kernel_refuses_counts_beyond_int64(monkeypatch):
+    # theta = 1e20: q = 1 alone counts 2 10^20 - 1 > 2^63.  (2,1) at thetas 1e9:
+    # each q fits, but shell 0 holds 2 ((2 10^9 - 1)^2 + ...) ~ 1.2 10^19 > 2^63.
+    # Both are refused before any sample is counted; theta = 1e17 fits.
+    def one_form(theta):
+        return validate(ApproximationProblem(m=1, n=1, weights=(1,), thetas=(theta,)))
+
+    p21 = validate(ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2),) * 2, thetas=(1e9, 1e9)))
+    CountingKernel(one_form(1e17), 0, 3)
+    monkeypatch.setattr(counting, "_form0_candidates", None)  # a count would raise TypeError
+    for problem in (one_form(1e20), p21):
+        with pytest.raises(ValidationError, match="int64"):
+            count_direct(problem, MatrixU(np.zeros((problem.m, 1))), math.e**3)
 
 
 def test_half_space_grid_n1_and_cap(monkeypatch):
