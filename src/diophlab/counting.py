@@ -162,24 +162,28 @@ def _tail_box(n: int, k_max: int, squared: bool) -> tuple[np.ndarray, np.ndarray
     return tail, part
 
 
-def half_space_grid(n: int, lo: int, hi: int, squared: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One q from each {q, -q} pair with lo <= ||q||_sup <= hi, as (q, radii).
+def half_space_slabs(n: int, lo: int, hi: int, squared: bool):
+    """One q from each {q, -q} pair with lo <= ||q||_sup <= hi, as (q, radii)
+    slabs of about ``_CHUNK`` q each.
 
     With ``squared`` (Euclidean norm, n >= 2) the window is lo <= ||q||_2^2
-    <= hi instead.  ``q`` is an (n, K) integer array whose first nonzero
-    coordinate is positive, in lexicographic order; ``radii`` holds the exact
-    integer ||q|| (or ||q||^2) of each column.  A box of more than
-    ``enumeration_cap()`` points raises CapExceededError.
+    <= hi instead.  Each ``q`` is an (n, k) integer array whose first nonzero
+    coordinate is positive; the slabs follow one another in lexicographic
+    order.  ``radii`` holds the exact integer ||q|| (or ||q||^2) of each
+    column.  A box of more than ``enumeration_cap()`` points raises
+    CapExceededError before the first slab.
     """
     if n == 1:
         lo = max(lo, 1)
     if hi < lo:
-        return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return
     k_max, points = _box(n, lo, hi, squared)
     _check_cap(points)
     if n == 1:
-        q = np.arange(lo, hi + 1, dtype=np.int64)
-        return q.reshape(1, -1), q
+        for start in range(lo, hi + 1, _CHUNK):
+            q = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.int64)
+            yield q.reshape(1, -1), q
+        return
     tail, part = _tail_box(n, k_max, squared)
 
     def slab(lead, tail, part):
@@ -195,10 +199,17 @@ def half_space_grid(n: int, lo: int, hi: int, squared: bool) -> tuple[np.ndarray
     # q_1 = 0 keeps the trailing points after the origin (first nonzero
     # coordinate positive); rows q_1 > 0 go in slabs of about _CHUNK points
     after = part.size // 2 + 1
-    slabs = [slab(np.zeros(1, dtype=np.int64), tail[:, after:], part[after:])]
+    yield slab(np.zeros(1, dtype=np.int64), tail[:, after:], part[after:])
     step = max(1, _CHUNK // part.size)
     for start in range(1, k_max + 1, step):
-        slabs.append(slab(np.arange(start, min(start + step, k_max + 1), dtype=np.int64), tail, part))
+        yield slab(np.arange(start, min(start + step, k_max + 1), dtype=np.int64), tail, part)
+
+
+def half_space_grid(n: int, lo: int, hi: int, squared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The slabs of ``half_space_slabs`` joined into one (q, radii) window."""
+    slabs = list(half_space_slabs(n, lo, hi, squared))
+    if not slabs:
+        return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate([q for q, _ in slabs], axis=1), np.concatenate([r for _, r in slabs])
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from diophlab.counting import CountingKernel, MatrixU, half_space_grid, interval_radii, squared_radii
+from diophlab.counting import CountingKernel, MatrixU, half_space_slabs, interval_radii, squared_radii
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.lattice import alpha, apply_flow, check_flow_time, lattice_from_u
 from diophlab.problem import ApproximationProblem, mean_constant
@@ -248,6 +248,22 @@ class LlnResult:
     passed: bool
 
 
+def _shell_means(kernel: CountingKernel) -> np.ndarray:
+    """Exact expectation of each shell's count of both signs over u, from the
+    torus identity: 2 sum_q prod_i 2 theta_i ||q||^{-w_i} over the shell's q.
+
+    The window is read slab by slab into running shell sums.  ``np.add.at``
+    adds in index order, as ``bincount`` does, so every shell adds its q in
+    the order of one whole-window ``bincount`` and gets the same float.
+    """
+    problem = kernel.problem
+    acc = np.zeros(kernel.n_shells)
+    for _, radii in half_space_slabs(problem.n, kernel.lo, kernel.hi, squared_radii(problem)):
+        per_q_mean = np.prod(2.0 * interval_radii(problem, radii), axis=0)
+        np.add.at(acc, kernel.shell_of(radii), per_q_mean)
+    return 2.0 * acc
+
+
 def run_lln(config: ExperimentConfig) -> LlnResult:
     """Mean of Delta_{e^N} against C*N over the N grid, with a flatness flag.
 
@@ -261,11 +277,7 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     C = mean_constant(config.problem)
     kernel = CountingKernel(config.problem, 0, n_max)
     cum = np.cumsum(_block_matrix(config, kernel), axis=1)  # Delta_{e^{s+1}} per sample
-    # finite-T theoretical mean from the torus identity, per block then summed
-    _, radii = half_space_grid(config.problem.n, kernel.lo, kernel.hi, squared_radii(config.problem))
-    per_q_mean = np.prod(2.0 * interval_radii(config.problem, radii), axis=0)
-    block_mean = 2.0 * np.bincount(kernel.shell_of(radii), weights=per_q_mean, minlength=n_max)
-    finite_theory = np.cumsum(block_mean)
+    finite_theory = np.cumsum(_shell_means(kernel))
 
     rows = []
     gaps = []
@@ -411,12 +423,13 @@ class CovarianceResult:
 
 
 def _theta_for_lag(problem: ApproximationProblem, s: int) -> float:
-    """Theta_inf(s) with the diagonal band p ~ e^s q covered up to the grid cap.
+    """Theta_inf(s) with the diagonal band p ~ e^s q covered up to Pmax = 3000.
 
-    Lags above ~7 are truncated by the cap; their true value is below 1e-5
-    of the variance, so the truncation is immaterial for the checks here.
-    The exponent is capped at 8, where the grid cap already holds, so that
-    e^|s| cannot overflow.
+    Pmax stays at most 3000, the ceiling that keeps the pinned lag values.
+    Lags above ~7 are truncated by it; their true value is below 1e-5 of the
+    variance, so the truncation is immaterial for the checks here.  The
+    exponent is capped at 8, where the ceiling already holds, so that e^|s|
+    cannot overflow.
     """
     Pmax = max(2000, min(int(math.ceil(4.0 * math.exp(min(abs(s), 8)))), 3000))
     return theory.theta_infinity(problem, abs(s), Pmax)

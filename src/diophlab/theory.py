@@ -13,6 +13,9 @@ Theta_inf(s) for the indicator cell [1, e) is
 where overlap_length is the log-radial overlap of the dilated shells; summed
 over all integer lags it telescopes to sigma2 because the overlap windows
 tile the line and sum_{p,q} max(p,q)^{-d} = 2 zeta(d-1) - zeta(d).
+``theta_infinity`` truncates the sum at p, q <= Pmax and gives the float of
+one ``np.sum`` over the (Pmax, Pmax) grid of terms without building that
+grid: it sums numpy's pairwise tree one cache-sized subtree at a time.
 """
 
 from __future__ import annotations
@@ -122,12 +125,28 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     The double sum is truncated at p, q <= Pmax; the diagonal band p ~ e^s q
     must fit below Pmax for the value to be accurate (Pmax >= ~4 e^|s|),
     smaller Pmax simply truncates (and yields exactly 0 once the band is
-    empty, as for very large |s|).  The overlap is +0.0 unless
-    s - 1 < log(p/q) < s + 1, so only that band is evaluated, in row slabs of
-    about ``_CHUNK`` pairs, into a zeroed (Pmax, Pmax) grid; one ``np.sum`` of
-    the grid then gives the same float as the overlap summed on the whole
-    grid.  Raises CapExceededError when the Pmax^2 pairs exceed the
-    enumeration cap.
+    empty, as for very large |s|).  The value is the same float as one
+    ``np.sum`` of the whole (Pmax, Pmax) grid of weight times overlap, but no
+    such grid is built.  Two facts make that so:
+
+    - ``np.sum`` of a C-contiguous float64 array is numpy's ``pairwise_sum``
+      over the flat array: a block of at most 128 values is summed in 8
+      lanes, and a larger block of n splits at n/2 rounded down to a multiple
+      of 8 (numpy/_core/src/umath/loops_utils.h.src).  Each subtree of that
+      fixed tree can therefore be summed on its own.
+    - Every cell is >= 0, so a subtree of zero cells sums to the +0.0 that
+      numpy would compute for it.
+
+    The walk follows numpy's splits over the Pmax^2 flat positions down to
+    nodes of at most ``max(_CHUNK, 128)`` positions (a node of 128 or fewer
+    is one of numpy's leaves, so it cannot be split further).  Such a node is
+    one run of grid rows.  Its band cells, the overlap being +0.0 unless
+    s - 1 < log(p/q) < s + 1, are written into one reused row-aligned buffer
+    with the same ufuncs as the whole-grid expression, the node's slice of
+    the buffer is ``np.sum``med and the written rectangle is zeroed again; a
+    node past the band's rows is +0.0.  Memory is O(``_CHUNK`` + Pmax) per
+    call.  Raises CapExceededError when the Pmax^2 pairs exceed the
+    enumeration cap, which bounds the work of a call.
     """
     d = problem.m + problem.n
     if d < 3:
@@ -149,28 +168,45 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     q_lo, q_hi = (ks * math.exp(min(max(-x, -lim), lim)) for x in (s + 1, s - 1))
     c_lo = np.clip(np.floor(q_lo) - 1.0, 0, Pmax).astype(np.int64)
     c_hi = np.clip(np.ceil(q_hi) + 1.0, 0, Pmax).astype(np.int64)
-    grid = np.zeros((Pmax, Pmax))
     # the rows with columns form a prefix, since c_lo only grows; an empty band has none
-    r = 0
     r_end = int(np.count_nonzero(c_lo < c_hi))
-    while r < r_end:
-        # as many rows as keep the slab's rectangle within _CHUNK pairs (at least
-        # one); row r's width alone bounds how many rows can fit
-        n = min(r_end - r, _CHUNK // (c_hi[r] - c_lo[r]) + 1)
-        area = np.arange(1, n + 1) * (c_hi[r:r + n] - c_lo[r])
-        r1 = r + max(1, int(np.searchsorted(area, _CHUNK, side="right")))
-        c0, c1 = c_lo[r], c_hi[r1 - 1]
-        log_p, log_q = logs[r:r1, None], logs[None, c0:c1]
-        lo = np.empty((r1 - r, c1 - c0))
-        hi = np.empty_like(lo)
+    leaf = max(_CHUNK, 128)
+    # a node of at most ``leaf`` positions touches at most leaf // Pmax + 2 rows
+    buf = np.zeros((min(Pmax, leaf // Pmax + 2), Pmax))
+    flat = buf.reshape(-1)
+    # contiguous work arrays for the overlap, allocated once per call: fresh
+    # node-sized temporaries are mapped and faulted in anew by the allocator
+    lo_buf, hi_buf = np.empty(buf.size), np.empty(buf.size)
+
+    def node(start: int, size: int) -> float:
+        # numpy's pairwise sum of the flat positions [start, start + size)
+        r0 = start // Pmax
+        r1 = min((start + size - 1) // Pmax + 1, r_end)  # end of the node's band rows
+        if r0 >= r1:
+            return 0.0
+        if size > leaf:
+            half = size // 2
+            half -= half % 8
+            return node(start, half) + node(start + half, size - half)
+        # c_lo and c_hi only grow, so this rectangle holds the band of every row
+        c0, c1 = c_lo[r0], c_hi[r1 - 1]
+        log_p, log_q = logs[r0:r1, None], logs[None, c0:c1]
+        rows, cols = r1 - r0, c1 - c0
+        lo, hi = lo_buf[: rows * cols].reshape(rows, cols), hi_buf[: rows * cols].reshape(rows, cols)
         # the log-radial overlap of the dilated shells, as in ``overlap_length``
         np.maximum(s - log_p, -log_q, out=lo)
         np.minimum(s + 1 - log_p, 1 - log_q, out=hi)
         np.subtract(hi, lo, out=hi)
         np.clip(hi, 0.0, None, out=hi)
-        np.multiply(np.minimum.outer(k_pow[r:r1], k_pow[c0:c1]), hi, out=grid[r:r1, c0:c1])
-        r = r1
-    return pref * float(np.sum(grid))
+        cells = buf[:rows, c0:c1]
+        # the weight max(p, q)^-d goes into lo, which the overlap no longer needs
+        np.multiply(np.minimum.outer(k_pow[r0:r1], k_pow[c0:c1], out=lo), hi, out=cells)
+        offset = start - r0 * Pmax
+        total = float(np.sum(flat[offset : offset + size]))
+        cells.fill(0.0)
+        return total
+
+    return pref * node(0, Pmax * Pmax)
 
 
 def theta_infinity_numeric(

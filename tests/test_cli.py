@@ -556,6 +556,24 @@ def test_selftest_fault_injection_fails_named_check(monkeypatch):
     assert "oracle-equivalence" not in failed
 
 
+def test_package_runs_as_a_module(tmp_path):
+    # python -m diophlab from a source checkout: the package's own parent on the path
+    import diophlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(diophlab.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diophlab", "count", "--m", "1", "--n", "1", "--weights", "1",
+         "--thetas", "0.5", "--logT", "3", "--u", "0", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["total"] == 40
+    assert (tmp_path / "results.csv").exists()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "diophlab.cli", "selftest", "--fast"],

@@ -478,9 +478,9 @@ def test_multi_shell_kernel_above_shell_0_matches_block_oracle(problem, s_lo, s_
 
 
 def test_kernel_build_peak_memory_near_its_arrays():
-    # the kernel keeps no grid, so its build allocates almost nothing; the
-    # grid that run_lln's finite-T mean builds may not hold the whole
-    # (2k+1)^n box or stacked rho temporaries
+    # the kernel keeps no grid, so its build allocates almost nothing; a
+    # window joined by half_space_grid may not hold the whole (2k+1)^n box or
+    # stacked rho temporaries
     import tracemalloc
 
     CountingKernel(P22E, 0, 5)  # warm the caches of the radial thresholds

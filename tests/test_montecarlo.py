@@ -24,7 +24,7 @@ from diophlab.montecarlo import (
     summarize,
     wilson_interval,
 )
-from diophlab.problem import ApproximationProblem, validate
+from diophlab.problem import ApproximationProblem, Norm, validate
 
 P21 = validate(
     ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
@@ -199,6 +199,57 @@ def test_run_lln_small():
         assert abs(r.mean - r.mean_finite_theory) <= 5 * r.stderr
         assert r.theory == pytest.approx(8.0 * r.N)
     assert res.band >= 0.0
+
+
+def _whole_window_shell_means(kernel):
+    # the reference: the whole window in one array and one bincount
+    from diophlab.counting import half_space_grid, interval_radii, squared_radii
+
+    problem = kernel.problem
+    _, radii = half_space_grid(problem.n, kernel.lo, kernel.hi, squared_radii(problem))
+    per_q_mean = np.prod(2.0 * interval_radii(problem, radii), axis=0)
+    return 2.0 * np.bincount(kernel.shell_of(radii), weights=per_q_mean, minlength=kernel.n_shells)
+
+
+@pytest.mark.parametrize(
+    "problem,N",
+    [
+        (P21, 12),
+        (validate(ApproximationProblem(m=1, n=2, weights=(2,), thetas=(1.0,), norm=Norm.EUCLIDEAN)), 6),
+        (validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.5), norm=Norm.SUP)), 5),
+        (validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.5), norm=Norm.EUCLIDEAN)), 6),
+    ],
+)
+def test_shell_means_stream_the_whole_window_sum(monkeypatch, problem, N):
+    # slab by slab, every shell's expectation is the same float as one
+    # whole-window bincount, for slabs of about 65536, 1000 and 7 q (at n = 2
+    # the last is one leading row per slab)
+    from diophlab import counting
+    from diophlab.counting import CountingKernel
+
+    kernel = CountingKernel(problem, 0, N)
+    want = _whole_window_shell_means(kernel).tobytes()
+    for chunk in (1 << 16, 1000, 7):
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+        assert montecarlo._shell_means(kernel).tobytes() == want
+
+
+def test_shell_means_hold_no_window_sized_array():
+    # (2,1) at N = 14: K ~ 1.2 10^6 q, so one float per q of the window is 9.6 MB
+    import tracemalloc
+
+    from diophlab.counting import CountingKernel
+
+    kernel = CountingKernel(P21, 0, 14)
+    K = kernel.hi - kernel.lo + 1
+    tracemalloc.start()
+    try:
+        montecarlo._shell_means(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K > 10**6
+    assert peak < 8 * K / 3
 
 
 def test_run_lln_single_sample_inconclusive():

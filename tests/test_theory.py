@@ -26,6 +26,9 @@ P21 = validate(
     ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
 )
 P22 = validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.0)))
+P32 = validate(
+    ApproximationProblem(m=3, n=2, weights=(Fraction(2, 3),) * 3, thetas=(1.0, 0.5, 2.0))
+)
 
 
 def _zeta3_reference():
@@ -123,11 +126,14 @@ def _reference_theta(prob, s, Pmax):
 
 
 def test_band_grid_sums_equal_the_whole_grid_expression():
-    # only the band where the overlap is nonzero is evaluated; every value must
-    # still be the same float as the whole-grid expression, also for lags whose
-    # band leaves the grid (|s| = 40) and for grids of 1 to 3 rows
-    for Pmax in (7, 600, 1, 2000, 2, 3, 3000):
-        for prob in (P21, P22):
+    # only the band where the overlap is nonzero is evaluated, one pairwise
+    # subtree at a time; every value must still be the same float as the
+    # whole-grid expression, also for lags whose band leaves the grid
+    # (|s| = 40), for grids of 1 to 3 rows, for a d = 5 problem, and for grids
+    # whose subtree boundaries fall mid-row or on the edge of numpy's
+    # 128-value leaves (Pmax = 8, 9, 128, 129, 257, 1001, 2999)
+    for Pmax in (7, 600, 1, 2000, 2, 3, 3000, 8, 9, 128, 129, 257, 1001, 2999):
+        for prob in (P21, P22, P32):
             for s in (-40, -9, -2, -1, 0, 1, 2, 3, 5, 6, 7, 8, 40):
                 assert theta_infinity(prob, s, Pmax) == _reference_theta(prob, s, Pmax)
     _reference_weight.cache_clear()
@@ -138,11 +144,13 @@ def test_band_grid_sums_equal_the_whole_grid_expression():
 
 
 def test_band_slabs_match_any_chunk_size(monkeypatch):
-    # single-row slabs (a row wider than _CHUNK) and whole-grid slabs give the same floats
+    # _CHUNK = 1 and 7 stop the walk at numpy's 128-value leaves, which start
+    # mid-row and cross row edges; 10^9 sums the whole grid as one node
     for chunk in (1, 7, 10**9):
         monkeypatch.setattr(theory, "_CHUNK", chunk)
-        for s in (-3, 0, 2, 6):
-            assert theta_infinity(P22, s, 300) == _reference_theta(P22, s, 300)
+        for prob in (P21, P22):
+            for s in (-3, 0, 2, 6):
+                assert theta_infinity(prob, s, 300) == _reference_theta(prob, s, 300)
 
 
 def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
@@ -160,17 +168,17 @@ def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
     assert theta_infinity(P22, 0, 10) == _reference_theta(P22, 0, 10)
 
 
-def test_theta_peak_memory_is_one_grid():
-    # the zeroed (Pmax, Pmax) grid plus slab-sized temporaries: no weight grid
-    # and no full-size scratch buffers
-    Pmax = 2000
+def test_theta_peak_memory_is_one_subtree_buffer():
+    # one row-aligned buffer of about _CHUNK cells plus its band temporaries:
+    # at Pmax = 3000 the (Pmax, Pmax) grid alone would take 72 MB
+    Pmax = 3000
     tracemalloc.start()
     try:
         theta_infinity(P22, 0, Pmax)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.3 * 8 * Pmax * Pmax
+    assert peak <= 4 * 2**20
 
 
 def test_max_pq_partial_sum_tail():
