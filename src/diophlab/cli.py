@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -130,8 +131,23 @@ def _check_setting(key: str, value):
     raise ValidationError(f"setting {key} has the wrong type: {value!r}")
 
 
+def _join_negative_lists(argv) -> list:
+    """argv with each comma-list flag joined to a value that starts like a
+    negative number (``--lags -1,0,1`` becomes ``--lags=-1,0,1``): argparse
+    reads only a lone negative number as a value, so it took "-1,0,1" for a
+    flag.  No flag starts with a digit, so the joined value names no flag."""
+    lists = {"--" + key.replace("_", "-") for key, f in _SETTINGS.items() if f.metadata["is_list"]}
+    out = []
+    for arg in argv:
+        if out and out[-1] in lists and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_args(argv) -> CliConfig:
-    ns = _parser().parse_args(argv)
+    ns = _parser().parse_args(_join_negative_lists(argv))
     merged = {}
     if ns.config:
         try:

@@ -15,11 +15,11 @@ axis coordinate are sorted once, and each row of the other coordinates finds
 its x near an integer by ``searchsorted``.  Rows are padded by the float
 error bound, so the list is a superset of the q with a nonzero count (the
 docstring states the argument), of about K^{1/2} log K entries for n <= 2
-instead of the K of the window.  ``per_q_product_counts`` then streams those
-candidates in chunks of ``_CHUNK`` columns through two reused buffers and
-settles every count: form 0 again, the other forms and the escalation on
-its survivors only.  Shell totals are summed in int64, and a kernel whose
-counts could leave int64 is refused when it is built.
+instead of the K of the window.  ``per_q_product_counts`` then takes those
+candidates in one pass per form and settles every count: form 0 again, the
+other forms and the escalation on its survivors only.  Shell totals are
+summed in int64, and a kernel whose counts could leave int64 is refused when
+it is built.
 
 Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
 ``squared_radii(problem)`` holds (Euclidean norm, n >= 2), so the square
@@ -47,7 +47,7 @@ from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm
 
 DEFAULT_CAP = 2**31
-_CHUNK = 1 << 16  # q columns per chunk: the work arrays of one chunk stay near L2 size
+_CHUNK = 1 << 16  # points per half_space_slabs slab, and the leaf size of theory's Theta_inf walk
 _SAFETY = 16.0  # factor on the float error bound of per_q_product_counts
 
 
@@ -256,17 +256,19 @@ def _exact_open_count(c: Fraction, theta: Fraction, w: Fraction, radius_key: int
 # ---------------------------------------------------------------------------
 # per-q interval counts
 
+def _form_radii(problem: ApproximationProblem, i: int, radii: np.ndarray) -> np.ndarray:
+    """Interval radii theta_i * ||q||^{-w_i} of form i from the radius keys of q."""
+    rho = radii.astype(np.float64)
+    if squared_radii(problem):
+        np.sqrt(rho, out=rho)
+    np.power(rho, -problem.weights_float()[i], out=rho)
+    rho *= problem.thetas[i]  # x * theta == theta * x in floats
+    return rho
+
+
 def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarray:
     """(m, K) interval radii theta_i * ||q||^{-w_i} from the radius keys of K q."""
-    norm_f = radii.astype(np.float64)
-    if squared_radii(problem):
-        np.sqrt(norm_f, out=norm_f)
-    w = problem.weights_float()
-    rho = np.empty((problem.m, norm_f.size))
-    for i in range(problem.m):
-        np.power(norm_f, -w[i], out=rho[i])
-        rho[i] *= problem.thetas[i]  # x * theta == theta * x in floats
-    return rho
+    return np.stack([_form_radii(problem, i, radii) for i in range(problem.m)])
 
 
 def _check_shape(problem: ApproximationProblem, u: MatrixU) -> None:
@@ -319,21 +321,20 @@ def per_q_product_counts(
     u: MatrixU,
     q_int: np.ndarray,
     radii: np.ndarray,
-    rho: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The q with a nonzero prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}.
 
     ``q_int`` is an (n, K) integer array and ``radii`` its integer radius keys
-    (see ``squared_radii``), and ``rho`` their ``interval_radii``.  Returns
-    ``(cols, counts)``: the ascending columns with a nonzero product, and
-    their int64 products.
+    (see ``squared_radii``).  Returns ``(cols, counts)``: the ascending
+    columns with a nonzero product, and their int64 products.
 
-    Candidates first.  Form 0 runs on every column of a chunk, as
+    Candidates first.  Form 0 runs on every column, as
     gap = ||<u_0, q>|| - rho_0.  The candidates are the q with gap <= err_0,
     plus the wide q (rho_0 >= 1/2 - err_0), forced in.  For a narrow q,
     gap <= err_0 is exactly "counted (gap < 0) or suspicious (|gap| <= err_0)"
     in ``_form_counts``, so the filter drops only q that count 0 without
-    escalating.  The rest of the work sees candidates and survivors only.
+    escalating.  The rest of the work, the radii rho_i of forms 1..m-1
+    included, sees candidates and survivors only.
 
     Error bound.  Entries of u lie in [0, 1) and q is an exact integer, so
     the float t = <u_i, q> is within gamma_n ||q||_1 ~ n 2^-53 ||q||_1 of the
@@ -341,7 +342,7 @@ def per_q_product_counts(
     section 3.1).  The float rho_i = theta_i ||q||^{-w_i} is within a few ulps
     of the real one plus rho_i w_i ln||q|| 2^-53 <= theta_i 2^-53 / e from
     rounding w_i; the subtraction rho_i - t adds half an ulp of |t| + rho_i.
-    With ||q||_1 <= l1 over the chunk, every endpoint is therefore within
+    With ||q||_1 <= l1 over the call, every endpoint is therefore within
 
         err_i = SAFETY 2^-52 (n l1 + 2 theta_i + 1),   SAFETY = 16,
 
@@ -353,35 +354,29 @@ def per_q_product_counts(
     _check_shape(problem, u)
     n = problem.n
     squared = squared_radii(problem)
-    buf = np.empty((2, min(q_int.shape[1], _CHUNK)))  # t and gap of form 0, reused by every chunk
-    cols, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for start in range(0, q_int.shape[1], _CHUNK):
-        q, keys = q_int[:, start : start + _CHUNK], radii[start : start + _CHUNK]
-        rho_c = rho[:, start : start + _CHUNK]
-        key = int(keys.max())
-        l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the chunk
-        live = slice(None)  # form 0 runs on every column
-        for i in range(problem.m):
-            err = _float_err(n, l1, problem.thetas[i])
-            t, gap = buf[:, : keys.size] if i == 0 else np.empty((2, live.size))
-            _dot_gap(u.entries[i], q[:, live], rho_c[i, live], t, gap)
-            if i == 0:
-                gap[rho_c[0] >= 0.5 - err] = -np.inf  # force the wide intervals in
-                live = np.flatnonzero(gap <= err)
-                t, gap = t[live], gap[live]
-            cnt, sus = _form_counts(t, rho_c[i, live], err, gap)
-            for j in np.flatnonzero(sus):
-                col = live[j]
-                c = sum(Fraction(u.entries[i, k]) * int(q[k, col]) for k in range(n))
-                cnt[j] = _exact_open_count(c, Fraction(problem.thetas[i]), problem.weights[i], int(keys[col]), squared)
-            hit = cnt != 0
-            prod = cnt[hit] if i == 0 else prod[hit] * cnt[hit]
-            live = live[hit]
-            if not live.size:
-                break
-        cols.append(live + start)
-        counts.append(prod)
-    return np.concatenate(cols), np.concatenate(counts)
+    key = int(radii.max(initial=0))
+    l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the call
+    live = slice(None)  # form 0 runs on every column
+    for i in range(problem.m):
+        err = _float_err(n, l1, problem.thetas[i])
+        rho = _form_radii(problem, i, radii[live])
+        t, gap = np.empty((2, rho.size))
+        _dot_gap(u.entries[i], q_int[:, live], rho, t, gap)
+        if i == 0:
+            gap[rho >= 0.5 - err] = -np.inf  # force the wide intervals in
+            live = np.flatnonzero(gap <= err)
+            t, gap, rho = t[live], gap[live], rho[live]
+        cnt, sus = _form_counts(t, rho, err, gap)
+        for j in np.flatnonzero(sus):
+            col = live[j]
+            c = sum(Fraction(u.entries[i, k]) * int(q_int[k, col]) for k in range(n))
+            cnt[j] = _exact_open_count(c, Fraction(problem.thetas[i]), problem.weights[i], int(radii[col]), squared)
+        hit = cnt != 0
+        prod = cnt[hit] if i == 0 else prod[hit] * cnt[hit]
+        live = live[hit]
+        if not live.size:
+            break
+    return live, prod
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +410,8 @@ def _near_integer(axis_u: float, size: int, c: np.ndarray, delta: np.ndarray) ->
 
 
 def _form0_candidates(problem: ApproximationProblem, u: MatrixU, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, keys): the half-space q with lo <= key <= hi that may pass form 0,
-    a superset of every q with a nonzero count.
+    """(q, keys): the half-space q with lo <= key <= hi (lo >= 1) that may
+    pass form 0, a superset of every q with a nonzero count.
 
     q is split into an axis coordinate x and a row: x = q_1 in [0, k_max] and
     the row the trailing (n-1)-box point t (the box ``half_space_grid``
@@ -441,8 +436,6 @@ def _form0_candidates(problem: ApproximationProblem, u: MatrixU, lo: int, hi: in
     """
     _check_shape(problem, u)
     n, squared = problem.n, squared_radii(problem)
-    if n == 1:
-        lo = max(lo, 1)
     if hi < lo:
         return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
     k_max = _box(n, lo, hi, squared)[0]
@@ -461,7 +454,7 @@ def _form0_candidates(problem: ApproximationProblem, u: MatrixU, lo: int, hi: in
         floor_key = np.maximum(part, lo)
     c -= np.floor(c)
     err = 3.0 * _float_err(n, n * k_max, problem.thetas[0])
-    delta = interval_radii(problem, floor_key)[0]
+    delta = _form_radii(problem, 0, floor_key)
     delta += err
     whole = delta >= 0.5 - err  # its ranges could meet: take every x instead
     c[whole], delta[whole] = 0.0, 0.5
@@ -537,7 +530,7 @@ class CountingKernel:
         convention.check(self.problem)
         hi = self.hi if below is None else min(self.hi, below)
         q, keys = _form0_candidates(self.problem, u, self.lo, hi)
-        cols, counts = per_q_product_counts(self.problem, u, q, keys, interval_radii(self.problem, keys))
+        cols, counts = per_q_product_counts(self.problem, u, q, keys)
         out = np.zeros(self.n_shells, dtype=np.int64)
         np.add.at(out, self.shell_of(keys[cols]), counts)  # int64: exact beyond 2^53
         return out * (2 if convention is Convention.BOTH_SIGNS else 1)

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import diophlab
+from diophlab.cli import parse_args
 from diophlab.counting import Convention, CountingKernel
 from diophlab.montecarlo import ExperimentConfig
 from diophlab.problem import ApproximationProblem, validate
@@ -37,6 +38,17 @@ def test_public_names_resolve_and_deleted_ones_are_gone():
     # the experiments count both signs; only ``count`` takes a convention
     assert not hasattr(Convention, "share")
     assert "convention" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_readme_cli_examples_parse():
+    # every command line of the README's CLI block; a "[...]" token is optional
+    # and the line parses with it and without it
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("diophlab ")]
+    assert len(lines) >= 7
+    for argv in lines:
+        assert parse_args([a.strip("[]") for a in argv]).subcommand == argv[0]
+        assert parse_args([a for a in argv if not a.startswith("[")]).subcommand == argv[0]
 
 
 def test_readme_library_example_runs():

@@ -32,6 +32,20 @@ def test_parse_full_clt_flags():
     assert cfg.problem().m == 2
 
 
+def test_negative_first_list_entry_parses_with_or_without_equals(tmp_path):
+    # argparse alone read "-1,0,1" after a space as an unknown flag (exit 2)
+    base = ["covariance", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1", "--t-base", "2"]
+    spaced = parse_args(base + ["--lags", "-1,0,1"])
+    assert spaced == parse_args(base + ["--lags=-1,0,1"]) and spaced.lags == (-1, 0, 1)
+    assert parse_args(base + ["--lags", "-1"]).lags == (-1,)
+    variance = ["variance", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1"]
+    assert main(variance + ["--lags", "-2,0", "--out-dir", str(tmp_path / "spaced")]) == 0
+    assert main(variance + ["--lags=-2,0", "--out-dir", str(tmp_path / "joined")]) == 0
+    rows = (tmp_path / "spaced" / "results.csv").read_text()
+    assert rows == (tmp_path / "joined" / "results.csv").read_text()
+    assert [line.split(",")[0] for line in rows.splitlines()[2:]] == ["-2", "0"]
+
+
 def test_parse_missing_n_is_usage_error():
     argv = ["clt", "--m", "2", "--thetas", "1,1", "--weights", "1/2,1/2"]
     assert main(argv) == 2

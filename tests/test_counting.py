@@ -15,7 +15,6 @@ from diophlab.counting import (
     half_space_grid,
 )
 from diophlab.errors import CapExceededError, ValidationError
-from diophlab.lattice import lattice_from_u, siegel_transform_box
 from diophlab.oracles import brute_force_block, brute_force_count, slow_reference_count
 from diophlab.problem import ApproximationProblem, Norm, validate
 
@@ -148,32 +147,36 @@ P22E = validate(
 P13 = validate(ApproximationProblem(m=1, n=3, weights=(3,), thetas=(0.8,)))
 
 
-@pytest.mark.parametrize("problem,N", [(P21, 6), (P22E, 3), (P13, 2)], ids=["21", "22-euclid", "13-sup"])
-def test_chunk_boundaries_leave_counts_unchanged(monkeypatch, problem, N):
-    # a prime chunk length splits shells, survivors and suspicious q at odd places
+def test_whole_window_wider_than_a_slab_matches_block_counts():
+    # one per_q_product_counts call over all 162 754 q of (2,1) at N = 12,
+    # more than one _CHUNK of columns, binned by shell, against the kernel
     rng = np.random.default_rng(41)
-    shape = (problem.m, problem.n)
-    us = [MatrixU(rng.random(shape)) for _ in range(3)]
-    us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)]
-    kernel = CountingKernel(problem, 0, N)
+    us = [MatrixU(rng.random((2, 1))) for _ in range(3)]
+    us += [MatrixU(rng.integers(0, 8, (2, 1)) / 8) for _ in range(3)]
+    kernel = CountingKernel(P21, 0, 12)
+    q, radii = half_space_grid(1, kernel.lo, kernel.hi, False)
+    assert q.shape[1] == 162_754 > counting._CHUNK
+    for u in us:
+        cols, counts = counting.per_q_product_counts(P21, u, q, radii)
+        assert np.all(np.diff(cols) > 0) and np.all(counts != 0)
+        shells = np.zeros(kernel.n_shells, dtype=np.int64)
+        np.add.at(shells, kernel.shell_of(radii[cols]), counts)
+        assert np.array_equal(2 * shells, kernel.block_counts(u))
 
-    def counts():
-        return [
-            (
-                kernel.block_counts(u),
-                [siegel_transform_box(problem, lattice_from_u(problem, u), s) for s in range(N)],
-            )
-            for u in us
-        ]
 
-    monkeypatch.setattr(counting, "_CHUNK", 10**9)
-    whole = counts()
-    monkeypatch.setattr(counting, "_CHUNK", 7)
-    assert all(counting._form0_candidates(problem, u, kernel.lo, kernel.hi)[1].size > 7 for u in us)
-    for (blocks, siegel), (want_blocks, want_siegel) in zip(counts(), whole):
-        assert blocks.dtype == want_blocks.dtype and np.array_equal(blocks, want_blocks)
-        assert siegel == want_siegel
-    assert sum(int(b.sum()) for b, _ in whole) > 0
+def test_no_columns_count_nothing(monkeypatch):
+    # an empty call returns two empty int64 arrays, and a kernel whose
+    # generator yields no q counts 0 in every shell
+    for problem in (P21, P22E, P13):
+        u = MatrixU(np.full((problem.m, problem.n), 0.25))
+        empty = np.zeros((problem.n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+        cols, counts = counting.per_q_product_counts(problem, u, *empty)
+        assert cols.dtype == counts.dtype == np.int64 and cols.size == counts.size == 0
+        kernel = CountingKernel(problem, 0, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_form0_candidates", lambda *args: empty)
+            blocks = kernel.block_counts(u)
+        assert blocks.dtype == np.int64 and blocks.tolist() == [0, 0, 0]
 
 
 P21_WIDE = validate(
@@ -188,23 +191,20 @@ P21_EDGE = validate(
 
 
 @pytest.mark.parametrize("problem,N", [(P21_WIDE, 6), (P13_WIDE, 2), (P21_EDGE, 3)], ids=["21", "13", "21-edge"])
-@pytest.mark.parametrize("chunk", [7, 10**9])
-def test_candidate_filter_matches_brute_force(monkeypatch, problem, N, chunk):
+def test_candidate_filter_matches_brute_force(problem, N):
     # intervals of width >= 1 near the origin, and a narrow one that float
-    # cannot settle: each such q must reach the counting whatever its chunk
+    # cannot settle: each such q must reach the counting
     rng = np.random.default_rng(43)
     shape = (problem.m, problem.n)
     us = [MatrixU(rng.random(shape)) for _ in range(3)]
     us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)] + [MatrixU(np.full(shape, 0.25))]
     kernel = CountingKernel(problem, 0, N)
     q, radii = half_space_grid(problem.n, kernel.lo, kernel.hi, counting.squared_radii(problem))
-    rho = counting.interval_radii(problem, radii)
-    assert rho.max() >= 1.0 and q.shape[1] > 7
-    monkeypatch.setattr(counting, "_CHUNK", chunk)
+    assert counting.interval_radii(problem, radii).max() >= 1.0
     for u in us:
         want = [brute_force_block(problem, u, s) for s in range(N)]
         assert kernel.block_counts(u).tolist() == want
-        cols, counts = counting.per_q_product_counts(problem, u, q, radii, rho)
+        cols, counts = counting.per_q_product_counts(problem, u, q, radii)
         assert np.all(np.diff(cols) > 0) and np.all(counts != 0)
         assert 2 * int(counts.sum()) == sum(want)
 
@@ -244,7 +244,7 @@ def _scan_counts(kernel, u, convention=Convention.BOTH_SIGNS, below=None):
     problem = kernel.problem
     hi = kernel.hi if below is None else min(kernel.hi, below)
     q, radii = half_space_grid(problem.n, kernel.lo, hi, counting.squared_radii(problem))
-    cols, counts = counting.per_q_product_counts(problem, u, q, radii, counting.interval_radii(problem, radii))
+    cols, counts = counting.per_q_product_counts(problem, u, q, radii)
     out = np.zeros(kernel.n_shells, dtype=np.int64)
     np.add.at(out, kernel.shell_of(radii[cols]), counts)
     return out * (2 if convention is Convention.BOTH_SIGNS else 1)
