@@ -15,6 +15,7 @@ from diophlab.counting import (
     half_space_grid,
 )
 from diophlab.errors import CapExceededError, ValidationError
+from diophlab.lattice import lattice_from_u, siegel_transform_box
 from diophlab.oracles import brute_force_block, brute_force_count, slow_reference_count
 from diophlab.problem import ApproximationProblem, Norm, validate
 
@@ -147,6 +148,43 @@ P22E = validate(
 P13 = validate(ApproximationProblem(m=1, n=3, weights=(3,), thetas=(0.8,)))
 
 
+def _chunked_counts(problem, u, q, radii, chunk):
+    # per_q_product_counts on consecutive pieces of `chunk` columns, joined
+    cols, counts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for start in range(0, q.shape[1], chunk):
+        c, k = counting.per_q_product_counts(problem, u, q[:, start : start + chunk], radii[start : start + chunk])
+        cols.append(c + start)
+        counts.append(k)
+    return np.concatenate(cols), np.concatenate(counts)
+
+
+@pytest.mark.parametrize("problem,N", [(P21, 6), (P22E, 3), (P13, 2)], ids=["21", "22-euclid", "13-sup"])
+def test_chunk_boundaries_leave_counts_unchanged(problem, N):
+    # the candidates split into pieces of a prime length: shells, survivors and
+    # suspicious q fall at odd places, and each piece's error bound comes from
+    # its own largest key, yet the counts equal one call over the whole list
+    rng = np.random.default_rng(41)
+    shape = (problem.m, problem.n)
+    us = [MatrixU(rng.random(shape)) for _ in range(3)]
+    us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)]
+    kernel = CountingKernel(problem, 0, N)
+    total = 0
+    for u in us:
+        q, keys = counting._form0_candidates(problem, u, kernel.lo, kernel.hi)
+        assert q.shape[1] > 7
+        cols, counts = _chunked_counts(problem, u, q, keys, 7)
+        want_cols, want_counts = counting.per_q_product_counts(problem, u, q, keys)
+        assert cols.dtype == counts.dtype == np.int64
+        assert np.array_equal(cols, want_cols) and np.array_equal(counts, want_counts)
+        blocks = np.zeros(kernel.n_shells, dtype=np.int64)
+        np.add.at(blocks, kernel.shell_of(keys[cols]), counts)
+        assert np.array_equal(2 * blocks, kernel.block_counts(u))
+        siegel = [siegel_transform_box(problem, lattice_from_u(problem, u), s) for s in range(N)]
+        assert (2 * blocks).tolist() == siegel
+        total += int(blocks.sum())
+    assert total > 0
+
+
 def test_whole_window_wider_than_a_slab_matches_block_counts():
     # one per_q_product_counts call over all 162 754 q of (2,1) at N = 12,
     # more than one _CHUNK of columns, binned by shell, against the kernel
@@ -191,20 +229,22 @@ P21_EDGE = validate(
 
 
 @pytest.mark.parametrize("problem,N", [(P21_WIDE, 6), (P13_WIDE, 2), (P21_EDGE, 3)], ids=["21", "13", "21-edge"])
-def test_candidate_filter_matches_brute_force(problem, N):
+@pytest.mark.parametrize("chunk", [7, 10**9])
+def test_candidate_filter_matches_brute_force(problem, N, chunk):
     # intervals of width >= 1 near the origin, and a narrow one that float
-    # cannot settle: each such q must reach the counting
+    # cannot settle: each such q must reach the counting, whatever the
+    # pieces of columns per_q_product_counts is given
     rng = np.random.default_rng(43)
     shape = (problem.m, problem.n)
     us = [MatrixU(rng.random(shape)) for _ in range(3)]
     us += [MatrixU(rng.integers(0, 8, shape) / 8) for _ in range(3)] + [MatrixU(np.full(shape, 0.25))]
     kernel = CountingKernel(problem, 0, N)
     q, radii = half_space_grid(problem.n, kernel.lo, kernel.hi, counting.squared_radii(problem))
-    assert counting.interval_radii(problem, radii).max() >= 1.0
+    assert counting.interval_radii(problem, radii).max() >= 1.0 and q.shape[1] > 7
     for u in us:
         want = [brute_force_block(problem, u, s) for s in range(N)]
         assert kernel.block_counts(u).tolist() == want
-        cols, counts = counting.per_q_product_counts(problem, u, q, radii)
+        cols, counts = _chunked_counts(problem, u, q, radii, chunk)
         assert np.all(np.diff(cols) > 0) and np.all(counts != 0)
         assert 2 * int(counts.sum()) == sum(want)
 
