@@ -213,6 +213,22 @@ def _plot_script(sigma2: float | None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(record, indent=None) -> str:
+    """``record`` as JSON, with each non-finite float written as null: RFC 8259
+    has no Infinity or NaN (``lln --samples 1`` has stderr = inf)."""
+
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {key: finite(value) for key, value in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(value) for value in x]
+        return x
+
+    return json.dumps(finite(record), indent=indent, default=str, allow_nan=False)
+
+
 def emit_results(summary: dict, rows, header, out_dir: str, plot: str | None = None) -> dict:
     """Write results.csv, summary.json and, given its text, plot.gp; returns the paths."""
     out = Path(out_dir)
@@ -220,7 +236,7 @@ def emit_results(summary: dict, rows, header, out_dir: str, plot: str | None = N
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_csv(paths["csv"], header, rows)
-        paths["summary"].write_text(json.dumps(summary, indent=2, default=str) + "\n")
+        paths["summary"].write_text(_json_text(summary, indent=2) + "\n")
         if plot is not None:
             paths["plot"] = out / "plot.gp"
             paths["plot"].write_text(plot)
@@ -253,7 +269,7 @@ def _cmd_count(cfg: CliConfig) -> int:
         "convention": res.convention.value,
         "u": [list(map(float, row)) for row in u.entries],
     }
-    print(json.dumps(record))
+    print(_json_text(record))
     emit_results(
         record,
         [(s, b) for s, b in enumerate(res.per_block)],
@@ -281,7 +297,7 @@ def _cmd_experiment(cfg: CliConfig) -> int:
     summary = {"experiment": cfg.subcommand, **dataclasses.asdict(res)}
     del summary["passed"]
     emit_results(summary, [dataclasses.astuple(r) for r in res.rows], _CSV_HEADERS[cfg.subcommand], cfg.out_dir)
-    print(json.dumps(summary, default=str))
+    print(_json_text(summary))
     return 0 if res.passed else 1
 
 
@@ -299,7 +315,7 @@ def _cmd_clt(cfg: CliConfig) -> int:
         "caveat": f"fixed-seed run (seed={cfg.seed}); convergence in T is slow and unquantified",
     }
     emit_results(summary, rows, ("index", "Delta", "D_T"), cfg.out_dir, _plot_script(res.sigma2_theory))
-    print(json.dumps(summary, default=str))
+    print(_json_text(summary))
     return 0 if res.passed else 1
 
 
@@ -315,7 +331,7 @@ def _cmd_variance(cfg: CliConfig) -> int:
         "zeta_ratio": consts.zeta_ratio,
         "theta_table": table,
     }
-    print(json.dumps(record))
+    print(_json_text(record))
     emit_results(record, table, ("s", "theta_inf"), cfg.out_dir)
     return 0
 

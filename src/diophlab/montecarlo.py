@@ -3,9 +3,16 @@
 Reproducibility contract: sample u_k is drawn from its own counter-based
 stream keyed by (seed, k), so the sample set depends only on (seed, S) and
 never on the worker count or schedule; per-sample outputs are stored by
-index and reduced in a single fixed-order pass.  With ``workers > 1`` the
-samples are counted in forked worker processes over contiguous index ranges,
-at most one process per usable CPU.
+index and reduced in a single fixed-order pass.  The stream is Philox4x64-10
+(Salmon et al., SC 2011) with key (seed, k) and a 256-bit counter that
+starts at 1; each 64-bit output word w gives the float (w >> 11) * 2^-53,
+and the floats fill u in row-major order.  That is the stream of numpy's
+``Generator(Philox(key=[seed, k])).random((m, n))``, bit for bit, computed
+here in Python integers, so it does not depend on the installed numpy's
+``Generator`` and no experiment imports ``numpy.random``.
+
+With ``workers > 1`` the samples are counted in forked worker processes over
+contiguous index ranges, at most one process per usable CPU.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError("need samples >= 1")
+        _check_seed(self.seed)
         if self.N < 1:
             raise ValidationError("need N >= 1")
         if self.workers < 1:
@@ -87,11 +95,41 @@ class SummaryStats:
 # ---------------------------------------------------------------------------
 # sampling
 
+_MASK64 = 2**64 - 1
+# Philox4x64 round multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _check_seed(seed: int) -> None:
+    # the seed is one 64-bit word of the Philox key: a wider seed would alias
+    if not 0 <= seed <= _MASK64:
+        raise ValidationError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def sample_u_at(seed: int, index: int, m: int, n: int) -> MatrixU:
     """Sample ``index`` of a seeded run: one uniform draw from the torus of
-    m x n matrices, from the counter-based Philox stream keyed by (seed, index)."""
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(index)], dtype=np.uint64)
-    return MatrixU(np.random.Generator(np.random.Philox(key=key)).random((m, n)))
+    m x n matrices.
+
+    The draw is Philox4x64-10 with key (seed, index), the counter incremented
+    before each block (so the first block uses counter 1), and each output
+    word w read as the float (w >> 11) * 2^-53; the floats fill the matrix in
+    row-major order.  This is exactly what numpy's
+    ``Generator(Philox(key=[seed, index])).random((m, n))`` returns, computed
+    in Python integers, so that no run imports ``numpy.random``.  A counter
+    below 2^64 leaves the other three counter words at 0.
+    """
+    _check_seed(seed)
+    floats = []
+    for block in range(1, (m * n + 3) // 4 + 1):
+        c0, c1, c2, c3 = block, 0, 0, 0
+        k0, k1 = seed, index
+        for _ in range(10):
+            p0, p1 = _PHILOX_M0 * c0, _PHILOX_M1 * c2
+            c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+            k0, k1 = (k0 + _PHILOX_W0) & _MASK64, (k1 + _PHILOX_W1) & _MASK64
+        floats += [(w >> 11) * 2.0**-53 for w in (c0, c1, c2, c3)]
+    return MatrixU(np.reshape(floats[: m * n], (m, n)))
 
 
 def _usable_cpus() -> int:

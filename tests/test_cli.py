@@ -9,8 +9,18 @@ from pathlib import Path
 
 import pytest
 
+import diophlab
 from diophlab import lattice
 from diophlab.cli import emit_results, main, parse_args, selftest
+
+
+def run_python(*args, timeout=120):
+    """``python *args`` in a subprocess that imports the diophlab under test:
+    the package's parent leads PYTHONPATH, so no install is needed."""
+    path = [str(Path(diophlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
+
 
 CLT_FLAGS = [
     "clt",
@@ -375,14 +385,51 @@ def test_bad_config_value_is_usage_error(tmp_path, bad):
 
 
 def test_cli_import_leaves_scipy_out():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, diophlab.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", "import sys, diophlab.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--logT", "3"],
+        ["lln", "--n-grid", "3,4", "--samples", "5", "--workers", "1"],
+        ["clt", "--logT", "4", "--samples", "5"],
+        ["covariance", "--logT", "4", "--t-base", "1", "--lags", "0,1", "--samples", "5"],
+        ["alpha-tail", "--L-grid", "2", "--samples", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_experiments_leave_numpy_random_out(tmp_path, argv):
+    # each sample's u is drawn in Python integers; numpy.random costs ~12 ms of import
+    script = "import sys; from diophlab.cli import main; main(sys.argv[1:]); print('numpy.random' in sys.modules)"
+    proc = run_python("-c", script, *argv, *P21_FLAGS, "--out-dir", str(tmp_path))
+    assert (tmp_path / "results.csv").exists(), proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("seed, code", [("-1", 2), ("18446744073709551616", 2), ("18446744073709551615", 0)])
+def test_count_seed_must_fit_64_bits(tmp_path, capsys, seed, code):
+    # a masked seed would alias: 2^64 drew the u of seed 0, and -1 the u of 2^64 - 1
+    argv = ["count", *P21_FLAGS, "--logT", "3", "--seed", seed, "--out-dir", str(tmp_path)]
+    assert main(argv) == code
+    if code:
+        assert "seed must lie in [0, 2^64)" in capsys.readouterr().err
+    else:
+        assert (tmp_path / "results.csv").exists()
+
+
+def test_lln_single_sample_writes_valid_json(tmp_path, capsys):
+    # stderr is inf at S = 1: JSON has no Infinity, so it is written as null
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert main(["lln", *P21_FLAGS, "--n-grid", "3", "--samples", "1", "--out-dir", str(tmp_path)]) == 1
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1], parse_constant=refuse)
+    written = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+    assert printed == written and written["rows"][0]["stderr"] is None
+    assert (tmp_path / "results.csv").read_text().splitlines()[-1].split(",")[4] == "inf"
 
 
 def test_every_setting_has_a_type_check():
@@ -462,12 +509,7 @@ def test_config_key_the_subcommand_does_not_read_is_usage_error(tmp_path, capsys
 
 def test_cli_import_leaves_mpmath_out():
     # radial thresholds use the stdlib decimal module; mpmath costs 30-40 ms of import
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, diophlab.cli; print('mpmath' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", "import sys, diophlab.cli; print('mpmath' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -572,16 +614,9 @@ def test_selftest_fault_injection_fails_named_check(monkeypatch):
 
 def test_package_runs_as_a_module(tmp_path):
     # python -m diophlab from a source checkout: the package's own parent on the path
-    import diophlab
-
-    env = dict(os.environ, PYTHONPATH=str(Path(diophlab.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "diophlab", "count", "--m", "1", "--n", "1", "--weights", "1",
-         "--thetas", "0.5", "--logT", "3", "--u", "0", "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
+    proc = run_python(
+        "-m", "diophlab", "count", "--m", "1", "--n", "1", "--weights", "1",
+        "--thetas", "0.5", "--logT", "3", "--u", "0", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["total"] == 40
@@ -589,11 +624,6 @@ def test_package_runs_as_a_module(tmp_path):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "diophlab.cli", "selftest", "--fast"],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_python("-m", "diophlab.cli", "selftest", "--fast", timeout=300)
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout

@@ -49,6 +49,32 @@ def test_sample_u_streams_do_not_collide():
         seen.add(key)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 799, 2**32 + 7, 2**63])
+def test_sample_u_is_numpys_philox_stream(seed, index):
+    # numpy's Philox generator is the reference here only; m*n up to 25 takes 7 counter blocks
+    key = np.array([seed, index], dtype=np.uint64)
+    for size in range(1, 26):
+        for m in (d for d in range(1, size + 1) if size % d == 0):
+            expected = np.random.Generator(np.random.Philox(key=key)).random((m, size // m))
+            got = sample_u_at(seed, index, m, size // m).entries
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (m, size // m)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_refused(seed):
+    # a masked seed would alias: 2^64 drew the samples of 0, and -1 those of 2^64 - 1
+    with pytest.raises(ValidationError, match=r"\[0, 2\^64\)"):
+        sample_u_at(seed, 0, 2, 1)
+    with pytest.raises(ValidationError, match=r"\[0, 2\^64\)"):
+        ExperimentConfig(problem=P21, seed=seed)
+
+
+def test_largest_seed_is_accepted():
+    assert ExperimentConfig(problem=P21, seed=2**64 - 1).seed == 2**64 - 1
+    assert sample_u_at(2**64 - 1, 0, 2, 1).entries.shape == (2, 1)
+
+
 P21_FLAGS = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1"]
 
 
