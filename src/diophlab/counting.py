@@ -8,18 +8,19 @@ error bound of an integer (``per_q_product_counts`` states the bound and its
 one assumption; entries of u are dyadic, q is integral, weights are
 rational, so the strict inequality can be settled by cross-powering).
 
-Counting is candidate-first and sparse, and no q-grid is kept.  Per
-sample, ``_form0_candidates`` lists the q that form 0 may keep by a
-baby-step/giant-step search on the circle: the residues frac(x u_01) of one
-axis coordinate are sorted once, and each row of the other coordinates finds
-its x near an integer by ``searchsorted``.  Rows are padded by the float
-error bound, so the list is a superset of the q with a nonzero count (the
-docstring states the argument), of about K^{1/2} log K entries for n <= 2
-instead of the K of the window.  ``per_q_product_counts`` then takes those
-candidates in one pass per form and settles every count: form 0 again, the
-other forms and the escalation on its survivors only.  Shell totals are
-summed in int64, and a kernel whose counts could leave int64 is refused when
-it is built.
+Counting is candidate-first and sparse, and no q-grid is kept.  One call
+counts a batch of samples.  For each sample, ``_form0_candidates`` lists the
+q that form 0 may keep by a baby-step/giant-step search on the circle: the
+sample's residues frac(x u_01) of one axis coordinate are sorted once, and
+each row of the other coordinates, built once per call, finds its x near an
+integer by ``searchsorted``.  Rows are padded by the float error bound, so
+the list is a superset of the q with a nonzero count (the docstring states
+the argument), of about K^{1/2} log K entries for n <= 2 instead of the K of
+the window.  ``per_q_product_counts`` then takes the candidates of the whole
+batch, sample after sample, in one pass per form and settles every count:
+form 0 again, the other forms and the escalation on its survivors only.
+Shell totals are summed in int64, and a kernel whose counts could leave
+int64 is refused when it is built.
 
 Each q carries one exact integer radius key: ||q||, or ||q||_2^2 when
 ``squared_radii(problem)`` holds (Euclidean norm, n >= 2), so the square
@@ -33,6 +34,7 @@ kernel.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,39 +274,47 @@ def interval_radii(problem: ApproximationProblem, radii: np.ndarray) -> np.ndarr
     return np.stack([_form_radii(problem, i, radii) for i in range(problem.m)])
 
 
-def _check_shape(problem: ApproximationProblem, u: MatrixU) -> None:
-    if u.m != problem.m or u.n != problem.n:
-        raise ValidationError("u has wrong shape for the problem")
+def _batch(problem: ApproximationProblem, u) -> list:
+    """The samples of a call: one MatrixU is the batch of one."""
+    us = [u] if isinstance(u, MatrixU) else list(u)
+    for v in us:
+        if v.m != problem.m or v.n != problem.n:
+            raise ValidationError("u has wrong shape for the problem")
+    return us
 
 
-def _float_err(n: int, l1: int, theta: float) -> float:
+def _float_err(n: int, l1, theta: float):
     """The certified float error bound err_i of ``per_q_product_counts`` for a
-    form with this theta, on q with ||q||_1 <= l1."""
+    form with this theta, on q with ||q||_1 <= l1 (a scalar or one per q)."""
     return _SAFETY * 2.0**-52 * (n * l1 + 2.0 * theta + 1.0)
 
 
-def _dot_gap(u_row: np.ndarray, q: np.ndarray, rho: np.ndarray, t: np.ndarray, gap: np.ndarray) -> None:
-    """t = <u_row, q>, summed term by term, and gap = ||t|| - rho, with
-    ||t|| = |t - rint(t)| exact in floats; q holds integer columns."""
+def _dot_gap(u_rows: list, bounds: list, q: np.ndarray, rho: np.ndarray, t: np.ndarray, gap: np.ndarray) -> None:
+    """t = <u_rows[b], q> on the columns bounds[b]:bounds[b + 1] of each sample
+    b, summed term by term, and gap = ||t|| - rho, with ||t|| = |t - rint(t)|
+    exact in floats; q holds integer columns."""
+    runs = list(zip(u_rows, bounds, bounds[1:]))
     t[:] = q[0]  # a cast in place and a float multiply beat one casting multiply
-    t *= u_row[0]
+    for row, a, z in runs:
+        t[a:z] *= row[0]
     for k in range(1, q.shape[0]):
         gap[:] = q[k]
-        gap *= u_row[k]
+        for row, a, z in runs:
+            gap[a:z] *= row[k]
         t += gap
     np.subtract(t, np.rint(t, out=gap), out=gap)
     np.abs(gap, out=gap)
     gap -= rho
 
 
-def _form_counts(t: np.ndarray, rho: np.ndarray, err: float, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _form_counts(t: np.ndarray, rho: np.ndarray, err: np.ndarray, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float counts #{p : |p + t| < rho} and the mask of q that float cannot settle.
 
-    ``gap`` holds ||t|| - rho (any value on the wide q) and is overwritten;
-    ``err`` bounds the float error of t and rho.  Where 2 rho < 1 - 2 err the
-    open interval holds at most one integer, so the count is gap < 0; only
-    the few wider intervals take ceil(hi) - floor(lo) - 1.  A q is
-    suspicious when the decision sits within ``err`` of flipping.
+    ``gap`` holds ||t|| - rho and is overwritten; ``err`` bounds the float
+    error of t and rho, one bound per q.  Where 2 rho < 1 - 2 err the open
+    interval holds at most one integer, so the count is gap < 0; only the
+    few wider intervals take ceil(hi) - floor(lo) - 1.  A q is suspicious
+    when the decision sits within ``err`` of flipping.
     """
     wide = np.flatnonzero(rho >= 0.5 - err)
     cnt = (gap < 0).astype(np.int64)
@@ -311,22 +322,27 @@ def _form_counts(t: np.ndarray, rho: np.ndarray, err: float, gap: np.ndarray) ->
     if wide.size:
         hi = rho[wide] - t[wide]
         lo = -rho[wide] - t[wide]
+        e = err[wide]
         cnt[wide] = (np.ceil(hi) - np.floor(lo) - 1.0).astype(np.int64)
-        sus[wide] = (np.abs(hi - np.rint(hi)) <= err) | (np.abs(lo - np.rint(lo)) <= err)
+        sus[wide] = (np.abs(hi - np.rint(hi)) <= e) | (np.abs(lo - np.rint(lo)) <= e)
     return cnt, sus
 
 
 def per_q_product_counts(
     problem: ApproximationProblem,
-    u: MatrixU,
+    u,
     q_int: np.ndarray,
     radii: np.ndarray,
+    offsets=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The q with a nonzero prod_i #{p_i : |p_i + <u_i, q>| < theta_i ||q||^{-w_i}}.
 
-    ``q_int`` is an (n, K) integer array and ``radii`` its integer radius keys
-    (see ``squared_radii``).  Returns ``(cols, counts)``: the ascending
-    columns with a nonzero product, and their int64 products.
+    ``u`` is one MatrixU, or a batch of them whose columns follow one another
+    in ``q_int``: sample b owns the columns offsets[b]:offsets[b + 1] (B + 1
+    ascending offsets; one MatrixU owns every column).  ``q_int`` is an
+    (n, K) integer array and ``radii`` its integer radius keys (see
+    ``squared_radii``).  Returns ``(cols, counts)``: the ascending columns
+    with a nonzero product, and their int64 products.
 
     Candidates first.  Form 0 runs on every column, as
     gap = ||<u_0, q>|| - rho_0.  The candidates are the q with gap <= err_0,
@@ -342,40 +358,50 @@ def per_q_product_counts(
     section 3.1).  The float rho_i = theta_i ||q||^{-w_i} is within a few ulps
     of the real one plus rho_i w_i ln||q|| 2^-53 <= theta_i 2^-53 / e from
     rounding w_i; the subtraction rho_i - t adds half an ulp of |t| + rho_i.
-    With ||q||_1 <= l1 over the call, every endpoint is therefore within
+    With ||q||_1 <= l1, every endpoint is therefore within
 
         err_i = SAFETY 2^-52 (n l1 + 2 theta_i + 1),   SAFETY = 16,
 
     of its exact value, assuming only that libm ``pow`` is accurate to a few
-    ulps (it is not correctly rounded; SAFETY absorbs that).  A q is settled
-    by exact rationals (``_exact_open_count``) only when an endpoint, or
-    ||t|| against rho_i for a narrow interval, lies within err_i of flipping.
+    ulps (it is not correctly rounded; SAFETY absorbs that).  The form-0
+    filter takes err_0 at the largest key of the call, one scalar certified
+    for every q of the batch; each survivor then takes err_i at its own
+    exact ||q||_1 in every form.  A q is settled by exact rationals
+    (``_exact_open_count``) only when an endpoint, or ||t|| against rho_i for
+    a narrow interval, lies within its err_i of flipping.
     """
-    _check_shape(problem, u)
+    us = _batch(problem, u)
+    offsets = [0, radii.size] if offsets is None else [int(o) for o in offsets]
     n = problem.n
     squared = squared_radii(problem)
     key = int(radii.max(initial=0))
     l1 = n * (math.isqrt(key) + 1 if squared else key)  # >= ||q||_1 on the call
     live = slice(None)  # form 0 runs on every column
+    bounds = offsets
     for i in range(problem.m):
-        err = _float_err(n, l1, problem.thetas[i])
         rho = _form_radii(problem, i, radii[live])
         t, gap = np.empty((2, rho.size))
-        _dot_gap(u.entries[i], q_int[:, live], rho, t, gap)
+        q = q_int if i == 0 else np.take(q_int, live, axis=1)  # several times faster than q_int[:, live]
+        _dot_gap([v.entries[i].tolist() for v in us], bounds, q, rho, t, gap)
         if i == 0:
-            gap[rho >= 0.5 - err] = -np.inf  # force the wide intervals in
-            live = np.flatnonzero(gap <= err)
+            err = _float_err(n, l1, problem.thetas[0])
+            keep = gap <= err
+            keep |= rho >= 0.5 - err  # force the wide intervals in
+            live = np.flatnonzero(keep)
             t, gap, rho = t[live], gap[live], rho[live]
-        cnt, sus = _form_counts(t, rho, err, gap)
+            norm1 = np.abs(np.take(q_int, live, axis=1)).sum(axis=0)  # the exact ||q||_1 of each survivor
+        cnt, sus = _form_counts(t, rho, _float_err(n, norm1, problem.thetas[i]), gap)
         for j in np.flatnonzero(sus):
             col = live[j]
-            c = sum(Fraction(u.entries[i, k]) * int(q_int[k, col]) for k in range(n))
+            v = us[bisect.bisect_right(offsets, col) - 1]  # the sample that owns the column
+            c = sum(Fraction(v.entries[i, k]) * int(q_int[k, col]) for k in range(n))
             cnt[j] = _exact_open_count(c, Fraction(problem.thetas[i]), problem.weights[i], int(radii[col]), squared)
         hit = cnt != 0
         prod = cnt[hit] if i == 0 else prod[hit] * cnt[hit]
-        live = live[hit]
+        live, norm1 = live[hit], norm1[hit]
         if not live.size:
             break
+        bounds = np.searchsorted(live, offsets).tolist()
     return live, prod
 
 
@@ -385,33 +411,78 @@ def per_q_product_counts(
 _SIGNS = np.array([-1.0, 1.0])[:, None, None]  # lower and upper end of a range
 
 
-def _near_integer(axis_u: float, size: int, c: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, row) for every x in [0, size) and row with
-    r_x in [j - c_row - delta_row, j - c_row + delta_row) for j = 0, 1 or 2,
-    r_x = frac(x axis_u), all in floats.
+class _Rows(NamedTuple):
+    """The u-independent rows of the form-0 search on one key window: x runs
+    over [0, size), row r's offset is c = sum_k coords[k, r] a_k with
+    a = (u_01 M) at n = 1 and (u_02, .., u_0n) otherwise, ``part`` is the key
+    it adds to x's, ``delta`` its padded form-0 radius, and the ``whole``
+    rows take every x."""
 
-    Baby steps: the residues r_x, sorted once.  Giant steps: the three ranges
-    of every row, found in the sorted residues by one searchsorted.  With
-    c_row in [0, 1] (so r_x + c_row in [0, 2]) and delta_row < 1/2 these are
-    the x with ||x axis_u + c_row|| < delta_row; a row with c_row = 0 and
-    delta_row = 1/2 tiles [0, 1) exactly and takes every x once.  The ranges
-    of a row must not overlap, so the caller keeps delta_row clear of 1/2.
+    size: int
+    coords: np.ndarray
+    part: np.ndarray
+    delta: np.ndarray
+    whole: np.ndarray
+
+
+def _rows(problem: ApproximationProblem, lo: int, hi: int) -> _Rows:
+    """The rows of ``_form0_candidates`` on the key window lo..hi (lo >= 1, hi >= lo)."""
+    n, squared = problem.n, squared_radii(problem)
+    k_max = _box(n, lo, hi, squared)[0]
+    if n == 1:
+        size = 1 << (hi.bit_length() + 1) // 2
+        b = np.arange(lo // size, hi // size + 1, dtype=np.int64)
+        coords, part = b[None], b * size
+    else:
+        size = k_max + 1
+        coords, part = _tail_box(n, k_max, squared)
+    err = 3.0 * _float_err(n, n * k_max, problem.thetas[0])
+    delta = _form_radii(problem, 0, np.maximum(part, lo))
+    delta += err
+    whole = delta >= 0.5 - err  # its range could hold an x twice: take every x instead
+    delta[whole] = 0.5
+    return _Rows(size, coords, part, delta, whole)
+
+
+def _near_integer(axis_u: np.ndarray, size: int, c: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, row, ends) for every sample b, x in [0, size) and row with
+    r_x - j in [-c[b, row] - delta_row, -c[b, row] + delta_row) for
+    j = 0, 1 or 2, r_x = frac(x axis_u[b]), all in floats.  The hits of
+    sample b follow those of b - 1 and end before ends[b].
+
+    Baby steps: each sample's residues r_x, sorted once and laid out as
+    r - 2, r - 1, r, which ascend through [-2, 1) (the subtractions round by
+    at most 2^-53, and r - 1 is exact for r >= 1/2).  Giant steps: the range
+    of every row, found in its sample's layout by one searchsorted.  With
+    c in [0, 1] (so r_x + c in [0, 2]) and delta_row < 1/2 these are the x
+    with ||x axis_u + c|| < delta_row, each once, since the range is shorter
+    than 1; a row with c = -1/2 and delta_row = 1/2 is the range [0, 1), so
+    it takes every x once.  The caller keeps the other rows' delta_row clear
+    of 1/2.
     """
-    r = np.arange(size, dtype=np.float64)
-    r *= axis_u
+    B, rows = c.shape
+    r = np.arange(size, dtype=np.float64) * axis_u[:, None]
     r -= np.floor(r)  # exact
-    order = np.argsort(r, kind="stable")
-    bounds = (np.arange(3.0)[:, None] - c) + _SIGNS * delta  # (lower/upper, j, row)
-    first, last = np.searchsorted(r[order], bounds)
+    order = np.argsort(r, axis=1, kind="stable")
+    r = np.take_along_axis(r, order, axis=1)
+    r = np.concatenate([r - 2.0, r - 1.0, r], axis=1)
+    bounds = _SIGNS * delta - c  # (lower/upper, b, row)
+    first, last = np.empty((2, B, rows), dtype=np.int64)
+    for b in range(B):
+        first[b], last[b] = np.searchsorted(r[b], bounds[:, b]) + 3 * size * b  # positions in r.ravel()
     length = (last - first).ravel()
-    pos = np.repeat(first.ravel() - (np.cumsum(length) - length), length)
+    ends = np.cumsum(length)
+    pos = np.repeat(first.ravel() - (ends - length), length)
     pos += np.arange(pos.size)
-    return order[pos], np.repeat(np.arange(3 * c.size) % c.size, length)
+    row = np.repeat(np.arange(B * rows) % rows, length)
+    return np.concatenate([order] * 3, axis=1).ravel()[pos], row, ends[rows - 1 :: rows].copy()
 
 
-def _form0_candidates(problem: ApproximationProblem, u: MatrixU, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q, keys): the half-space q with lo <= key <= hi (lo >= 1) that may
-    pass form 0, a superset of every q with a nonzero count.
+def _form0_candidates(problem: ApproximationProblem, us: list, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, keys, offsets): for each sample u of the batch ``us``, the
+    half-space q with lo <= key <= hi (lo >= 1) that may pass form 0, a
+    superset of every q with a nonzero count.  Sample b owns the columns
+    offsets[b]:offsets[b + 1].
 
     q is split into an axis coordinate x and a row: x = q_1 in [0, k_max] and
     the row the trailing (n-1)-box point t (the box ``half_space_grid``
@@ -430,57 +501,58 @@ def _form0_candidates(problem: ApproximationProblem, u: MatrixU, lo: int, hi: in
     the residue, the offset, the float radius and the searchsorted bounds are
     each within err_max of their exact values, so a q with
     ||<u_0, q>|| < rho_0(q) passes.  A row with delta >= 1/2 - 3 err_max,
-    whose three residue ranges could meet, takes every x, so the wide q are
-    covered too.  The caller runs ``per_q_product_counts`` on the result,
-    which settles every count exactly as on the whole grid.
+    whose residue range could hold an x twice, takes every x, so the wide q
+    are covered too.  The rows (``_rows``) do not depend on u and are built
+    once per call; each sample searches its own sorted residues.  The caller
+    runs ``per_q_product_counts`` on the result, which settles every count
+    exactly as on the whole grid.
     """
-    _check_shape(problem, u)
-    n, squared = problem.n, squared_radii(problem)
+    n = problem.n
     if hi < lo:
-        return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    k_max = _box(n, lo, hi, squared)[0]
-    u0 = u.entries[0]
-    if n == 1:
-        size = 1 << (hi.bit_length() + 1) // 2
-        b = np.arange(lo // size, hi // size + 1, dtype=np.int64)
-        c = b * (u0[0] * size)
-        floor_key = np.maximum(b * size, lo)
-    else:
-        size = k_max + 1
-        tail, part = _tail_box(n, k_max, squared)
-        c = tail[0] * u0[1]
-        for k in range(2, n):
-            c += tail[k - 1] * u0[k]
-        floor_key = np.maximum(part, lo)
+        return np.zeros((n, 0), dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(len(us) + 1, dtype=np.int64)
+    rows = _rows(problem, lo, hi)
+    u0 = np.array([u.entries[0] for u in us])  # (B, n)
+    scale = u0[:, :1] * rows.size if n == 1 else u0[:, 1:]
+    c = rows.coords[0] * scale[:, :1]
+    for k in range(1, rows.coords.shape[0]):
+        c += rows.coords[k] * scale[:, k : k + 1]
     c -= np.floor(c)
-    err = 3.0 * _float_err(n, n * k_max, problem.thetas[0])
-    delta = _form_radii(problem, 0, floor_key)
-    delta += err
-    whole = delta >= 0.5 - err  # its ranges could meet: take every x instead
-    c[whole], delta[whole] = 0.0, 0.5
-    x, row = _near_integer(u0[0], size, c, delta)
+    c[:, rows.whole] = -0.5  # with delta = 1/2: the range [0, 1), every x
+    x, row, ends = _near_integer(u0[:, 0], rows.size, c, rows.delta)
+    keys = rows.part[row]  # each step in place: a call's peak memory follows its candidates
     if n == 1:
-        keys = x + size * b[row]
-        keys = keys[(keys >= lo) & (keys <= hi)]
-        return keys.reshape(1, -1), keys
-    keys = x * x + part[row] if squared else np.maximum(x, part[row])
-    # q_1 = 0 keeps the rows after the origin (first nonzero coordinate positive)
-    keep = (keys >= lo) & (keys <= hi) & ((x > 0) | (row > part.size // 2))
+        keys += x
+        keep = (keys >= lo) & (keys <= hi)
+    else:
+        if squared_radii(problem):
+            keys += x * x
+        else:
+            np.maximum(keys, x, out=keys)
+        # q_1 = 0 keeps the rows after the origin (first nonzero coordinate positive)
+        keep = (keys >= lo) & (keys <= hi) & ((x > 0) | (row > rows.part.size // 2))
+    ends = [0, *ends.tolist()]
+    offsets = np.cumsum([0] + [np.count_nonzero(keep[a:z]) for a, z in zip(ends, ends[1:])])
+    keys = keys[keep]
+    if n == 1:
+        return keys.reshape(1, -1), keys, offsets
     x, row = x[keep], row[keep]
-    return np.concatenate([x[None], tail[:, row]]), keys[keep]
+    return np.concatenate([x[None], np.take(rows.coords, row, axis=1)]), keys, offsets
 
 
 # ---------------------------------------------------------------------------
 # counting kernel
 
 class CountingKernel:
-    """Shell counts for the shells s_lo <= s < s_hi, one sample u at a time.
+    """Shell counts for the shells s_lo <= s < s_hi, for one sample u or a
+    batch of them per call.
 
     Denominators come from the positive half-space only (first nonzero
     coordinate of q positive); the both-signs count is exactly twice that by
     the symmetry (p, q) <-> (-p, -q).  The kernel holds the key window
-    ``lo``..``hi`` of its shells and the shell starts, nothing sized by the
-    window: each ``block_counts`` call draws its q from
+    ``lo``..``hi`` of its shells, the shell starts and
+    ``candidates_per_sample``, its u-independent estimate of the form-0
+    candidates a sample draws, by which callers size their batches; nothing
+    sized by the window: each ``block_counts`` call draws its q from
     ``_form0_candidates``.  Building one refuses a window whose box exceeds
     ``enumeration_cap()`` (CapExceededError) and one whose counts could leave
     int64 (ValidationError).
@@ -511,29 +583,38 @@ class CountingKernel:
         if bound >= 2.0**62:
             raise ValidationError(f"counts up to ~{bound:.3g} may not fit int64; lower the thetas or the shells")
         self._starts = np.array([lo for lo, _ in ranges[1:]], dtype=np.int64)
+        # the x a sample is expected to draw, sum over rows of min(size, 2 delta size + 1)
+        rows = _rows(p, self.lo, self.hi)
+        self.candidates_per_sample = int(np.minimum(rows.size, 2.0 * rows.delta * rows.size + 1.0).sum())
 
     @property
     def n_shells(self) -> int:
         return self.s_hi - self.s_lo
 
-    # -- per-sample work ---------------------------------------------------
+    # -- per-batch work ----------------------------------------------------
 
     def shell_of(self, keys: np.ndarray) -> np.ndarray:
         """Shell index s - s_lo of each radius key, for keys within the kernel's shells."""
         return np.searchsorted(self._starts, keys, side="right")
 
     def block_counts(
-        self, u: MatrixU, convention: Convention = Convention.BOTH_SIGNS, below: int | None = None
+        self, u, convention: Convention = Convention.BOTH_SIGNS, below: int | None = None
     ) -> np.ndarray:
         """Counts for the shells s = s_lo .. s_hi-1, in that order, of the q
-        with radius key <= ``below`` (all q if None)."""
+        with radius key <= ``below`` (all q if None): an (n_shells,) int64
+        array for one MatrixU ``u``, or (B, n_shells) for a sequence of B,
+        row b for sample b, in one pass over the batch."""
         convention.check(self.problem)
+        us = _batch(self.problem, u)
         hi = self.hi if below is None else min(self.hi, below)
-        q, keys = _form0_candidates(self.problem, u, self.lo, hi)
-        cols, counts = per_q_product_counts(self.problem, u, q, keys)
-        out = np.zeros(self.n_shells, dtype=np.int64)
-        np.add.at(out, self.shell_of(keys[cols]), counts)  # int64: exact beyond 2^53
-        return out * (2 if convention is Convention.BOTH_SIGNS else 1)
+        q, keys, offsets = _form0_candidates(self.problem, us, self.lo, hi)
+        cols, counts = per_q_product_counts(self.problem, us, q, keys, offsets)
+        out = np.zeros((len(us), self.n_shells), dtype=np.int64)
+        ends = np.searchsorted(cols, offsets)
+        sample = np.repeat(np.arange(len(us)), ends[1:] - ends[:-1])
+        np.add.at(out, (sample, self.shell_of(keys[cols])), counts)  # int64: exact beyond 2^53
+        out *= 2 if convention is Convention.BOTH_SIGNS else 1
+        return out[0] if isinstance(u, MatrixU) else out
 
 
 def _blocks_needed_for(T: float) -> int:

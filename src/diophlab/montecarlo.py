@@ -11,8 +11,10 @@ and the floats fill u in row-major order.  That is the stream of numpy's
 here in Python integers, so it does not depend on the installed numpy's
 ``Generator`` and no experiment imports ``numpy.random``.
 
-With ``workers > 1`` the samples are counted in forked worker processes over
-contiguous index ranges, at most one process per usable CPU.
+Shell counts are taken in batches of consecutive samples, one kernel pass
+each (``_block_matrix``).  With ``workers > 1`` the batches, or the samples
+of the other experiments, run in forked worker processes over contiguous
+index ranges, at most one process per usable CPU.
 """
 
 from __future__ import annotations
@@ -139,6 +141,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# form-0 candidates per block_counts call: a batch's float64 arrays stay near 64 KB
+_BATCH_CANDIDATES = 8192
+
 # the task of a forked worker process, set once by ``_adopt_task``
 _TASK = None
 
@@ -255,15 +260,20 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 # experiment cores
 
 def _block_matrix(config: ExperimentConfig, kernel: CountingKernel) -> np.ndarray:
-    """(S, kernel.n_shells) matrix of shell counts for the seeded sample set."""
-    m, n = config.problem.m, config.problem.n
+    """(S, kernel.n_shells) matrix of shell counts for the seeded sample set.
 
-    def one(i: int):
-        u = sample_u_at(config.seed, i, m, n)
-        return kernel.block_counts(u)
+    The samples are counted in batches of consecutive indices, one
+    ``block_counts`` call each, of B = max(1, _BATCH_CANDIDATES // c)
+    samples, c being the kernel's estimate of candidates per sample.
+    """
+    m, n, S = config.problem.m, config.problem.n, config.samples
+    size = max(1, _BATCH_CANDIDATES // kernel.candidates_per_sample)
 
-    rows = _map_indexed(one, config.samples, config.workers)
-    return np.stack(rows).astype(np.float64)
+    def batch(j: int):
+        return kernel.block_counts([sample_u_at(config.seed, i, m, n) for i in range(j * size, min(S, (j + 1) * size))])
+
+    batches = _map_indexed(batch, -(-S // size), config.workers)
+    return np.concatenate(batches).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_chunk_boundaries_leave_counts_unchanged(problem, N):
     kernel = CountingKernel(problem, 0, N)
     total = 0
     for u in us:
-        q, keys = counting._form0_candidates(problem, u, kernel.lo, kernel.hi)
+        q, keys, _ = counting._form0_candidates(problem, [u], kernel.lo, kernel.hi)
         assert q.shape[1] > 7
         cols, counts = _chunked_counts(problem, u, q, keys, 7)
         want_cols, want_counts = counting.per_q_product_counts(problem, u, q, keys)
@@ -212,9 +213,11 @@ def test_no_columns_count_nothing(monkeypatch):
         assert cols.dtype == counts.dtype == np.int64 and cols.size == counts.size == 0
         kernel = CountingKernel(problem, 0, 3)
         with monkeypatch.context() as patch:
-            patch.setattr(counting, "_form0_candidates", lambda *args: empty)
+            patch.setattr(counting, "_form0_candidates", lambda problem, us, lo, hi: (*empty, np.zeros(len(us) + 1, dtype=np.int64)))
             blocks = kernel.block_counts(u)
+            batch = kernel.block_counts([u, u])
         assert blocks.dtype == np.int64 and blocks.tolist() == [0, 0, 0]
+        assert batch.dtype == np.int64 and batch.tolist() == [[0, 0, 0]] * 2
 
 
 P21_WIDE = validate(
@@ -329,24 +332,85 @@ def test_generator_count_direct_off_threshold(case):
             assert res.total == brute_force_count(problem, u, T, convention)
 
 
+def _batched(kernel, us, size, **kwargs):
+    # block_counts over consecutive batches of `size` samples, rows stacked
+    return np.concatenate([kernel.block_counts(us[a : a + size], **kwargs) for a in range(0, len(us), size)])
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_batches_count_each_sample_as_alone(case):
+    # a batch call shares its row tables and its form-0 filter bound across
+    # the samples; every row must still equal that sample's own count,
+    # with and without the "below T" cut, here and in a single-shell kernel
+    problem, N = GENERATOR_CASES[case]
+    us = _generator_us(problem, 61)
+    assert len(us) == 7
+    squared = counting.squared_radii(problem)
+    below = counting._sup_radius_below(1.37 * math.e ** (N - 1), squared)
+    for kernel in (CountingKernel(problem, 0, N), CountingKernel(problem, N - 1, N)):
+        for cut in (None, below):
+            want = np.stack([_scan_counts(kernel, u, below=cut) for u in us])
+            for size in (1, 2, 3, 7):
+                got = _batched(kernel, us, size, below=cut)
+                assert got.dtype == np.int64 and got.shape == (7, kernel.n_shells)
+                assert np.array_equal(got, want), (size, cut)
+            assert np.array_equal(kernel.block_counts(us[3], below=cut), want[3])
+    if problem.n == 1:
+        half = _batched(CountingKernel(problem, 0, N), us, 3, convention=Convention.POSITIVE_Q)
+        assert np.array_equal(2 * half, _batched(CountingKernel(problem, 0, N), us, 7))
+
+
+def test_candidate_offsets_split_the_batch_by_sample():
+    # the offsets of a batch call give each sample exactly its own candidates
+    for problem, N in ((P21, 9), (P22E, 4), (P13, 2)):
+        kernel = CountingKernel(problem, 0, N)
+        us = [montecarlo.sample_u_at(7, i, problem.m, problem.n) for i in range(4)]
+        q, keys, offsets = counting._form0_candidates(problem, us, kernel.lo, kernel.hi)
+        assert offsets.tolist()[0] == 0 and offsets[-1] == keys.size and np.all(np.diff(offsets) > 0)
+        for b, u in enumerate(us):
+            q_b, keys_b, off_b = counting._form0_candidates(problem, [u], kernel.lo, kernel.hi)
+            assert off_b.tolist() == [0, keys_b.size]
+            assert np.array_equal(q[:, offsets[b] : offsets[b + 1]], q_b)
+            assert np.array_equal(keys[offsets[b] : offsets[b + 1]], keys_b)
+
+
+def test_batch_size_estimate_tracks_the_candidates():
+    # candidates_per_sample is the kernel's u-independent estimate of what a
+    # sample draws; montecarlo sizes its batches by it
+    for problem, N in ((P21, 11), (P21, 13), (P22E, 5)):
+        kernel = CountingKernel(problem, 0, N)
+        drawn = [
+            counting._form0_candidates(problem, [montecarlo.sample_u_at(3, i, problem.m, problem.n)], kernel.lo, kernel.hi)[1].size
+            for i in range(5)
+        ]
+        assert 0.7 * kernel.candidates_per_sample <= np.mean(drawn) <= 1.3 * kernel.candidates_per_sample
+
+
 def test_block_counts_memory_does_not_grow_with_the_grid():
     # a call allocates per form-0 candidate (about 4 K^{1/2} of the K q at
-    # (2,1)), never per q of the window: one K-sized array costs 8 K bytes
+    # (2,1)), never per q of the window: one K-sized array costs 8 K bytes;
+    # a batch call allocates per candidate of the whole batch
     import tracemalloc
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     peaks = []
     for N in (12, 14, 16):
         kernel = CountingKernel(P21, 0, N)
         kernel.block_counts(montecarlo.sample_u_at(5, 0, 2, 1))
         u = montecarlo.sample_u_at(5, 1, 2, 1)
-        tracemalloc.start()
-        try:
-            kernel.block_counts(u)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        candidates = counting._form0_candidates(P21, u, kernel.lo, kernel.hi)[1].size
+        peaks.append(traced_peak(lambda: kernel.block_counts(u)))
+        candidates = counting._form0_candidates(P21, [u], kernel.lo, kernel.hi)[1].size
         assert peaks[-1] <= 128 * candidates + 65536
+        batch = [montecarlo.sample_u_at(5, i, 2, 1) for i in range(2, 7)]
+        batch_peak = traced_peak(lambda: kernel.block_counts(batch))
+        assert batch_peak <= 128 * counting._form0_candidates(P21, batch, kernel.lo, kernel.hi)[1].size + 65536
     window = kernel.hi - kernel.lo + 1  # K at n = 1
     assert candidates < window / 500
     assert peaks[-1] < 8 * window / 30
@@ -383,6 +447,30 @@ def test_float_path_escalates_almost_never(monkeypatch):
     for i in range(10):
         kernel.block_counts(montecarlo.sample_u_at(12, i, 2, 1))
     assert len(calls) <= 1
+
+
+def test_survivors_escalate_by_their_own_bound(monkeypatch):
+    # (2,1) at N = 18: the form-0 filter takes err_0 at the largest key of the
+    # call, but each survivor escalates only within the bound of its own
+    # ||q||_1, so fewer q escalate than under the call-wide bound (632 for
+    # these samples; 299 here), the same q batched or not, with unchanged counts
+    calls = []
+    exact = counting._exact_open_count
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(counting, "_exact_open_count", counted)
+    kernel = CountingKernel(P21, 0, 18)
+    us = [montecarlo.sample_u_at(5, i, 2, 1) for i in range(10)]
+    alone = np.stack([kernel.block_counts(u) for u in us])
+    assert alone.sum(axis=1).tolist() == [150, 150, 144, 154, 154, 144, 172, 238, 154, 130]
+    alone_calls = calls[:]
+    assert len(alone_calls) <= 400
+    calls.clear()
+    assert np.array_equal(_batched(kernel, us, 5), alone)
+    assert Counter(calls) == Counter(alone_calls)  # batches order the forms differently
 
 
 def test_exact_open_count_radius_keys():

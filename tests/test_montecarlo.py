@@ -10,6 +10,7 @@ import pytest
 
 from diophlab import montecarlo, theory
 from diophlab.cli import main
+from diophlab.counting import CountingKernel
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.montecarlo import (
     ExperimentConfig,
@@ -97,6 +98,32 @@ def test_worker_count_does_not_change_results(tmp_path, monkeypatch, argv):
         main([argv[0], *P21_FLAGS, *argv[1:], "--workers", workers, "--out-dir", str(out)])
         csv.append((out / "results.csv").read_bytes())
     assert csv[0] == csv[1] and csv[0].count(b"\n") > 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_matrix_does_not_depend_on_the_batch_size(monkeypatch, workers):
+    # one sample per block_counts call (budget 0), the kernel's own batch
+    # size, and every sample in one call give the per-sample matrix
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    config = ExperimentConfig(problem=P21, N=9, samples=23, seed=4, workers=workers)
+    kernel = CountingKernel(P21, 0, 9)
+    want = np.stack([kernel.block_counts(sample_u_at(4, i, 2, 1)) for i in range(23)])
+    counted = kernel.block_counts
+    sizes = []
+
+    def spy(us):
+        sizes.append(len(us))  # recorded in this process only, so at workers = 1
+        return counted(us)
+
+    monkeypatch.setattr(kernel, "block_counts", spy)
+    for budget, batches in ((0, [1] * 23), (montecarlo._BATCH_CANDIDATES, None), (10**12, [23])):
+        monkeypatch.setattr(montecarlo, "_BATCH_CANDIDATES", budget)
+        sizes.clear()
+        got = montecarlo._block_matrix(config, kernel)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        if workers == 1 and batches is not None:
+            assert sizes == batches
     assert multiprocessing.active_children() == []
 
 
