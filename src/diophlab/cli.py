@@ -87,11 +87,15 @@ class CliConfig:
 _SETTINGS = {f.name: f for f in dataclasses.fields(CliConfig) if f.metadata}
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(chosen: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand name, with the flags of ``chosen``
+    alone: a run reads no other subcommand's flags."""
     parser = argparse.ArgumentParser(prog="diophlab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
+        if name != chosen:
+            continue
         p.add_argument("--config", default=None, help="JSON config file; flags override")
         for key, f in _SETTINGS.items():
             row = f.metadata
@@ -147,7 +151,9 @@ def _join_negative_lists(argv) -> list:
 
 
 def parse_args(argv) -> CliConfig:
-    ns = _parser().parse_args(_join_negative_lists(argv))
+    # the top-level parser takes no option with a value, so the first word is the subcommand
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    ns = _parser(chosen).parse_args(_join_negative_lists(argv))
     merged = {}
     if ns.config:
         try:

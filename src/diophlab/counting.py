@@ -50,7 +50,7 @@ from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm
 
 DEFAULT_CAP = 2**31
-_CHUNK = 1 << 16  # points per half_space_slabs slab, and the leaf size of theory's Theta_inf walk
+_CHUNK = 1 << 16  # points per half_space_slabs slab
 _SAFETY = 16.0  # factor on the float error bound of per_q_product_counts
 
 

@@ -12,15 +12,19 @@ here in Python integers, so it does not depend on the installed numpy's
 ``Generator`` and no experiment imports ``numpy.random``.
 
 Shell counts are taken in batches of consecutive samples, one kernel pass
-each (``_block_matrix``).  With ``workers > 1`` the batches, or the samples
-of the other experiments, run in forked worker processes over contiguous
-index ranges, at most one process per usable CPU.
+each (``_block_matrix``).  The batches, or the samples of the other
+experiments, are split into contiguous index ranges, one per process up to
+``workers`` and the usable CPUs; the caller runs the first range and forked
+workers the others (``_map_indexed``).  A worker gets the mapped function
+through the fork and sends back only its values, pickled.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,64 +139,64 @@ def sample_u_at(seed: int, index: int, m: int, n: int) -> MatrixU:
 
 
 def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    # the CPU affinity set, where the platform has one
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # form-0 candidates per block_counts call: a batch's float64 arrays stay near 64 KB
 _BATCH_CANDIDATES = 8192
 
-# the task of a forked worker process, set once by ``_adopt_task``
-_TASK = None
-
-
-def _adopt_task(fn) -> None:
-    global _TASK
-    _TASK = fn
-
-
-def _run_range(start: int, stop: int) -> list:
-    return [_TASK(i) for i in range(start, stop)]
-
 
 def _map_indexed(fn, count: int, workers: int):
-    """fn(i) for i in range(count), order-stable, over forked worker processes.
-
-    ``fn`` (a closure over a built kernel or lattice) reaches the workers
-    through the fork; only index ranges and the returned values are pickled.
-    The pool has at most one process per usable CPU, and without the ``fork``
-    start method the samples run serially.  On a failure the ranges not yet
-    started are cancelled and every worker is joined before the error leaves.
+    """fn(i) for i in range(count), in order, over contiguous index ranges:
+    min(workers, usable CPUs, count) of them, or one when count < 4 or there
+    is no ``os.fork``.  The caller runs the first range and a forked worker
+    each other one, which pipes back its pickled values, or its exception to
+    raise here (the first in range order); the pipes are read in range order
+    after the caller's own range.  A failed fork or a worker gone without a
+    reply (killed, out of memory, unpicklable values) raises CapExceededError.
+    Every worker is killed and reaped before the map returns or raises.
     """
-    procs = min(workers, _usable_cpus())
-    if procs <= 1 or count < 4 or not hasattr(os, "fork"):
-        return [fn(i) for i in range(count)]
-    # imported here, so that a serial run does not pay ~20 ms for them at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    n_ranges = min(count, 4 * procs)
-    bounds = [count * j // n_ranges for j in range(n_ranges + 1)]
-    pool = ProcessPoolExecutor(
-        max_workers=min(procs, n_ranges),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_task,
-        initargs=(fn,),
-    )
+    procs = min(workers, _usable_cpus(), count) if count >= 4 and hasattr(os, "fork") else 1
+    bounds = [count * j // procs for j in range(procs + 1)]
+    forked = []  # (pid, read end of its pipe) per worker, in range order
     try:
-        futures = [pool.submit(_run_range, a, b) for a, b in zip(bounds, bounds[1:])]
-        for f in as_completed(futures):
-            f.result()  # raises the first failure; the finally cancels the ranges not yet started
-        return [value for f in futures for value in f.result()]
-    except BrokenProcessPool as exc:
-        raise CapExceededError(
-            "a worker process ended abruptly (for example, killed when memory ran out)"
-        ) from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # EAGAIN or ENOMEM
+                os.close(r)
+                os.close(w)
+                raise CapExceededError(f"cannot start a worker process: {exc}") from exc
+            if pid == 0:  # the worker leaves only through os._exit, 0 once its reply is written
+                try:
+                    try:
+                        reply = [fn(i) for i in range(start, stop)]
+                    except Exception as exc:
+                        reply = exc
+                    with open(w, "wb") as out:
+                        out.write(pickle.dumps(reply))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            forked.append((pid, open(r, "rb")))
+        values = [fn(i) for i in range(bounds[1])]
+        for _, pipe in forked:
+            try:
+                reply = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError) as exc:  # an empty or cut reply
+                raise CapExceededError("a worker process ended abruptly (for example, killed when memory ran out)") from exc
+            if isinstance(reply, Exception):
+                raise reply
+            values += reply
+        return values
+    finally:  # a worker whose reply was read is past it, so its kill changes nothing
+        for pid, pipe in forked:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +332,18 @@ def run_lln(config: ExperimentConfig) -> LlnResult:
     finite_theory = np.cumsum(_shell_means(kernel))
 
     rows = []
-    gaps = []
     for N in config.n_grid:
         vals = cum[:, N - 1]
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(config.samples)) if config.samples > 1 else float("inf")
-        gap = abs(mean - C * N)
-        gaps.append(gap)
         rows.append(
             LlnRow(
-                N=N,
-                mean=mean,
-                theory=C * N,
-                gap=gap,
-                stderr=stderr,
+                N=N, mean=mean, theory=C * N, gap=abs(mean - C * N), stderr=stderr,
                 mean_finite_theory=float(finite_theory[N - 1]),
             )
         )
-    band = max(gaps) - min(gaps) if gaps else 0.0
+    gaps = [r.gap for r in rows]  # n_grid is never empty
+    band = max(gaps) - min(gaps)
     gap_max = THRESHOLDS["lln_gap"]
     flat = config.samples > 1 and band <= THRESHOLDS["lln_band"]
     failed = [] if flat else ["gaps not flat across N"]
@@ -563,7 +561,8 @@ def run_alpha_tail(config: ExperimentConfig) -> AlphaTailResult:
     m, n = config.problem.m, config.problem.n
     factor = THRESHOLDS["tail_factor"]
     exponent = THRESHOLDS["tail_exponent"]
-    flow_times = [int(math.ceil(config.kappa * math.log(L))) if L > 1 else 0 for L in config.L_grid]
+    # s = ceil(kappa log L); an infinite kappa log L stays inf, which check_flow_time refuses
+    flow_times = [math.ceil(t) if t < math.inf else t for t in (config.kappa * math.log(L) for L in config.L_grid)]
     for L, s in zip(config.L_grid, flow_times):
         check_flow_time(config.problem, s, f"L={L:g}")
 

@@ -26,9 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from diophlab.counting import _CHUNK, enumeration_cap
+from diophlab.counting import enumeration_cap
 from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, mean_constant, omega_n
+
+# positions per node at which theta_infinity stops splitting numpy's pairwise tree
+_LEAF = 1 << 16
 
 _BERNOULLI = (
     Fraction(1, 6),
@@ -138,13 +141,13 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
       numpy would compute for it.
 
     The walk follows numpy's splits over the Pmax^2 flat positions down to
-    nodes of at most ``max(_CHUNK, 128)`` positions (a node of 128 or fewer
+    nodes of at most ``max(_LEAF, 128)`` positions (a node of 128 or fewer
     is one of numpy's leaves, so it cannot be split further).  Such a node is
     one run of grid rows.  Its band cells, the overlap being +0.0 unless
     s - 1 < log(p/q) < s + 1, are written into one reused row-aligned buffer
     with the same ufuncs as the whole-grid expression, the node's slice of
     the buffer is ``np.sum``med and the written rectangle is zeroed again; a
-    node past the band's rows is +0.0.  Memory is O(``_CHUNK`` + Pmax) per
+    node past the band's rows is +0.0.  Memory is O(``_LEAF`` + Pmax) per
     call.  Raises CapExceededError when the Pmax^2 pairs exceed the
     enumeration cap, which bounds the work of a call.
     """
@@ -170,7 +173,7 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     c_hi = np.clip(np.ceil(q_hi) + 1.0, 0, Pmax).astype(np.int64)
     # the rows with columns form a prefix, since c_lo only grows; an empty band has none
     r_end = int(np.count_nonzero(c_lo < c_hi))
-    leaf = max(_CHUNK, 128)
+    leaf = max(_LEAF, 128)
     # a node of at most ``leaf`` positions touches at most leaf // Pmax + 2 rows
     buf = np.zeros((min(Pmax, leaf // Pmax + 2), Pmax))
     flat = buf.reshape(-1)

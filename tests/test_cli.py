@@ -353,6 +353,16 @@ def test_alpha_tail_refuses_flow_times_beyond_float_precision(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_alpha_tail_refuses_an_infinite_flow_time(tmp_path, capsys):
+    # kappa log L = 1e308 * 690.8 overflows to inf, which no integer flow time holds
+    argv = ["alpha-tail", "--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1"]
+    argv += ["--L-grid", "1e300", "--kappa", "1e308", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "L=1e+300" in err and "s=inf" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_alpha_tail_runs_inside_float_precision(tmp_path):
     # (1,2) at L = 2, 4 needs s = 3, 6 and (1 + 2) * 6 = 18 <= 27 ln 2
     argv = ["alpha-tail", "--m", "1", "--n", "2", "--weights", "2", "--thetas", "1", "--samples", "20"]

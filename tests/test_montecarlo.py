@@ -1,8 +1,8 @@
-import concurrent.futures
+import errno
 import math
-import multiprocessing
 import os
 import signal
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +30,12 @@ from diophlab.problem import ApproximationProblem, Norm, validate
 P21 = validate(
     ApproximationProblem(m=2, n=1, weights=(Fraction(1, 2), Fraction(1, 2)), thetas=(1.0, 1.0))
 )
+
+
+def assert_no_child_left():
+    # waitpid sees every child of the test process, raw forks included
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sample_u_deterministic_and_in_range():
@@ -89,16 +95,23 @@ P21_FLAGS = ["--m", "2", "--n", "1", "--weights", "1/2,1/2", "--thetas", "1,1"]
     ],
     ids=lambda argv: argv[0],
 )
-def test_worker_count_does_not_change_results(tmp_path, monkeypatch, argv):
-    # two usable CPUs, so that --workers 2 runs the process pool on any machine
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    csv = []
-    for workers in ("1", "2"):
+def test_worker_count_does_not_change_results(tmp_path, monkeypatch, capsys, argv):
+    # three usable CPUs and one sample per batch, so that on any machine every
+    # map forks one worker at --workers 2 and two at --workers 3
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_BATCH_CANDIDATES", 0)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    written = []
+    for workers in ("1", "2", "3"):
         out = tmp_path / workers
         main([argv[0], *P21_FLAGS, *argv[1:], "--workers", workers, "--out-dir", str(out)])
-        csv.append((out / "results.csv").read_bytes())
-    assert csv[0] == csv[1] and csv[0].count(b"\n") > 2
-    assert multiprocessing.active_children() == []
+        files = [(out / name).read_bytes() for name in ("results.csv", "summary.json")]
+        written.append((*files, capsys.readouterr().out))
+    assert written[0] == written[1] == written[2] and written[0][0].count(b"\n") > 2
+    assert forks and len(forks) % 3 == 0  # per map: one fork at --workers 2, two at --workers 3
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -124,50 +137,37 @@ def test_block_matrix_does_not_depend_on_the_batch_size(monkeypatch, workers):
         assert got.dtype == np.float64 and np.array_equal(got, want)
         if workers == 1 and batches is not None:
             assert sizes == batches
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_pool_size_is_capped_by_usable_cpus(monkeypatch):
-    sizes = []
-
-    class InlinePool:
-        """Records the pool size and runs each range in this process."""
-
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(montecarlo, "_TASK", None)
+    # one fork per range after the caller's first: procs - 1 per call
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert montecarlo._map_indexed(lambda i: i * i, 50, 10**6) == [i * i for i in range(50)]
+    assert len(forks) == 2
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert montecarlo._map_indexed(lambda i: -i, 5, 10**6) == [-i for i in range(5)]
-    assert sizes == [3, 2]
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 + 1
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("error", [CapExceededError, ValidationError])
 def test_worker_error_reaches_the_caller(monkeypatch, error):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
 
     def fn(i):
-        if i == 7:
+        if i in (17, 37):  # in the second and third of the ranges 0-12, 13-25, 26-39
             raise error(f"sample {i} refused")
         return i
 
-    with pytest.raises(error, match="^sample 7 refused$"):
-        montecarlo._map_indexed(fn, 40, 2)
-    assert multiprocessing.active_children() == []
+    with pytest.raises(error, match="^sample 17 refused$"):  # the first in range order
+        montecarlo._map_indexed(fn, 40, 3)
+    assert_no_child_left()
 
 
 def test_killed_worker_is_cap_exceeded(monkeypatch):
@@ -175,13 +175,89 @@ def test_killed_worker_is_cap_exceeded(monkeypatch):
     parent = os.getpid()
 
     def fn(i):
-        if i == 7 and os.getpid() != parent:  # never the test process itself
+        if i == 37 and os.getpid() != parent:  # in the worker's range 20-39, never the test process itself
             os.kill(os.getpid(), signal.SIGKILL)
         return i
 
     with pytest.raises(CapExceededError, match="ended abruptly"):
         montecarlo._map_indexed(fn, 40, 2)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_unpicklable_reply_is_cap_exceeded(monkeypatch):
+    # a worker whose values cannot be pickled ends without a reply
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    with pytest.raises(CapExceededError, match="ended abruptly"):
+        montecarlo._map_indexed(lambda i: (lambda: i) if i == 37 else i, 40, 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValidationError, KeyboardInterrupt])
+def test_caller_error_kills_the_running_workers(monkeypatch, error):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    raised = error("sample 3 refused")
+
+    def fn(i):
+        if i == 20 and os.getpid() != parent:
+            time.sleep(30)  # the worker is still running when the caller fails
+        elif i == 3:
+            raise raised
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(error) as caught:
+        montecarlo._map_indexed(fn, 40, 2)
+    assert caught.value is raised and time.monotonic() - start < 15
+    assert_no_child_left()
+
+
+def test_failed_fork_is_cap_exceeded(monkeypatch):
+    # the second fork fails as on EAGAIN; the first worker is already running
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    forks = []
+    fork = os.fork
+
+    def failing():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    with pytest.raises(CapExceededError, match="cannot start a worker process"):
+        montecarlo._map_indexed(lambda i: i, 40, 3)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_workers_leave_without_flushing_the_callers_buffers(tmp_path, monkeypatch, fails):
+    # a worker that returned into the caller's code, or exited normally,
+    # would write the buffered line a second time
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+
+    def fn(i):
+        if fails and i == 30:
+            raise ValidationError("sample 30 refused")
+        return i
+
+    with open(tmp_path / "log", "w") as log:
+        log.write("once\n")  # still in the buffer when the workers fork
+        try:
+            assert montecarlo._map_indexed(fn, 40, 3) == list(range(40))
+        except ValidationError:
+            assert fails
+    assert (tmp_path / "log").read_text() == "once\n"
+    assert_no_child_left()
+
+
+def test_replies_larger_than_a_pipe_arrive_whole(monkeypatch):
+    # each worker's reply (~1.6 MB) blocks its pipe until the caller's range is done
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    got = montecarlo._map_indexed(lambda i: bytes([i]) * 200_000, 24, 3)
+    assert got == [bytes([i]) * 200_000 for i in range(24)]
+    assert_no_child_left()
 
 
 def test_normal_cdf():

@@ -144,10 +144,10 @@ def test_band_grid_sums_equal_the_whole_grid_expression():
 
 
 def test_band_slabs_match_any_chunk_size(monkeypatch):
-    # _CHUNK = 1 and 7 stop the walk at numpy's 128-value leaves, which start
+    # _LEAF = 1 and 7 stop the walk at numpy's 128-value leaves, which start
     # mid-row and cross row edges; 10^9 sums the whole grid as one node
     for chunk in (1, 7, 10**9):
-        monkeypatch.setattr(theory, "_CHUNK", chunk)
+        monkeypatch.setattr(theory, "_LEAF", chunk)
         for prob in (P21, P22):
             for s in (-3, 0, 2, 6):
                 assert theta_infinity(prob, s, 300) == _reference_theta(prob, s, 300)
@@ -169,7 +169,7 @@ def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
 
 
 def test_theta_peak_memory_is_one_subtree_buffer():
-    # one row-aligned buffer of about _CHUNK cells plus its band temporaries:
+    # one row-aligned buffer of about _LEAF cells plus its band temporaries:
     # at Pmax = 3000 the (Pmax, Pmax) grid alone would take 72 MB
     Pmax = 3000
     tracemalloc.start()
