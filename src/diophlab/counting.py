@@ -50,7 +50,9 @@ from diophlab.errors import CapExceededError, ValidationError
 from diophlab.problem import ApproximationProblem, Norm
 
 DEFAULT_CAP = 2**31
-_CHUNK = 1 << 16  # points per half_space_slabs slab
+# points per half_space_slabs slab: an int64 or float64 array of a slab is
+# about 64 KB, like one counting batch's (montecarlo._BATCH_CANDIDATES)
+_CHUNK = 1 << 13
 _SAFETY = 16.0  # factor on the float error bound of per_q_product_counts
 
 

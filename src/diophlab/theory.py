@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,16 @@ def overlap_length(s: int, p: int, q: int) -> float:
     return max(0.0, hi - lo)
 
 
+@lru_cache(maxsize=1)
+def _workspace(rows: int, Pmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``theta_infinity``'s row-aligned node buffer and the two contiguous
+    work arrays of its overlap, kept for the process and replaced when the
+    shape changes: fresh node-sized arrays are mapped and faulted in anew
+    by the allocator on every call."""
+    buf = np.zeros((rows, Pmax))
+    return buf, np.empty(buf.size), np.empty(buf.size)
+
+
 def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     """Closed-form lag-s covariance of the shell counts over the lattice space.
 
@@ -147,9 +158,10 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     s - 1 < log(p/q) < s + 1, are written into one reused row-aligned buffer
     with the same ufuncs as the whole-grid expression, the node's slice of
     the buffer is ``np.sum``med and the written rectangle is zeroed again; a
-    node past the band's rows is +0.0.  Memory is O(``_LEAF`` + Pmax) per
-    call.  Raises CapExceededError when the Pmax^2 pairs exceed the
-    enumeration cap, which bounds the work of a call.
+    node past the band's rows is +0.0.  Memory is O(``_LEAF`` + Pmax): the
+    buffers are one workspace per process, zeroed as a call starts.  Raises
+    CapExceededError when the Pmax^2 pairs exceed the enumeration cap, which
+    bounds the work of a call.
     """
     d = problem.m + problem.n
     if d < 3:
@@ -175,11 +187,9 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
     r_end = int(np.count_nonzero(c_lo < c_hi))
     leaf = max(_LEAF, 128)
     # a node of at most ``leaf`` positions touches at most leaf // Pmax + 2 rows
-    buf = np.zeros((min(Pmax, leaf // Pmax + 2), Pmax))
+    buf, lo_buf, hi_buf = _workspace(min(Pmax, leaf // Pmax + 2), Pmax)
+    buf.fill(0.0)  # a call that raised mid-walk may have left band cells in it
     flat = buf.reshape(-1)
-    # contiguous work arrays for the overlap, allocated once per call: fresh
-    # node-sized temporaries are mapped and faulted in anew by the allocator
-    lo_buf, hi_buf = np.empty(buf.size), np.empty(buf.size)
 
     def node(start: int, size: int) -> float:
         # numpy's pairwise sum of the flat positions [start, start + size)
@@ -209,7 +219,9 @@ def theta_infinity(problem: ApproximationProblem, s: int, Pmax: int) -> float:
         cells.fill(0.0)
         return total
 
-    return pref * node(0, Pmax * Pmax)
+    total = node(0, Pmax * Pmax)
+    del node  # node's closure holds node: free that cycle now, not at the next collection
+    return pref * total
 
 
 def theta_infinity_numeric(

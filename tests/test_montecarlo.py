@@ -351,34 +351,37 @@ def _whole_window_shell_means(kernel):
 )
 def test_shell_means_stream_the_whole_window_sum(monkeypatch, problem, N):
     # slab by slab, every shell's expectation is the same float as one
-    # whole-window bincount, for slabs of about 65536, 1000 and 7 q (at n = 2
-    # the last is one leading row per slab)
+    # whole-window bincount, for slabs of about 65536, 8192, 1000 and 7 q (at
+    # n = 2 the last is one leading row per slab)
     from diophlab import counting
     from diophlab.counting import CountingKernel
 
     kernel = CountingKernel(problem, 0, N)
     want = _whole_window_shell_means(kernel).tobytes()
-    for chunk in (1 << 16, 1000, 7):
+    for chunk in (1 << 16, 1 << 13, 1000, 7):
         monkeypatch.setattr(counting, "_CHUNK", chunk)
         assert montecarlo._shell_means(kernel).tobytes() == want
 
 
 def test_shell_means_hold_no_window_sized_array():
-    # (2,1) at N = 14: K ~ 1.2 10^6 q, so one float per q of the window is 9.6 MB
+    # (2,1) at N = 14: K ~ 1.2 10^6 q, so one float per q of the window is
+    # 9.6 MB; a slab's working set is a few 64 KB arrays whatever the window
     import tracemalloc
 
     from diophlab.counting import CountingKernel
 
-    kernel = CountingKernel(P21, 0, 14)
-    K = kernel.hi - kernel.lo + 1
-    tracemalloc.start()
-    try:
-        montecarlo._shell_means(kernel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert K > 10**6
-    assert peak < 8 * K / 3
+    peaks = {}
+    for N in (12, 14):
+        kernel = CountingKernel(P21, 0, N)
+        tracemalloc.start()
+        try:
+            montecarlo._shell_means(kernel)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert kernel.hi - kernel.lo + 1 > 10**6
+    assert peaks[14] < 2**20
+    assert peaks[14] < 1.5 * peaks[12]
 
 
 def test_run_lln_single_sample_inconclusive():

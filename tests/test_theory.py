@@ -8,7 +8,7 @@ import pytest
 
 from diophlab import theory
 from diophlab.errors import CapExceededError, ValidationError
-from diophlab.problem import ApproximationProblem, mean_constant, validate
+from diophlab.problem import ApproximationProblem, Norm, mean_constant, validate
 from diophlab.theory import (
     TheoryConstants,
     constants,
@@ -129,10 +129,11 @@ def test_band_grid_sums_equal_the_whole_grid_expression():
     # only the band where the overlap is nonzero is evaluated, one pairwise
     # subtree at a time; every value must still be the same float as the
     # whole-grid expression, also for lags whose band leaves the grid
-    # (|s| = 40), for grids of 1 to 3 rows, for a d = 5 problem, and for grids
+    # (|s| = 40), for grids of 1 to 3 rows, for a d = 5 problem, for grids
     # whose subtree boundaries fall mid-row or on the edge of numpy's
-    # 128-value leaves (Pmax = 8, 9, 128, 129, 257, 1001, 2999)
-    for Pmax in (7, 600, 1, 2000, 2, 3, 3000, 8, 9, 128, 129, 257, 1001, 2999):
+    # 128-value leaves (Pmax = 8, 9, 128, 129, 257, 1001, 2999), and for a
+    # workspace shape met again after others (600, 7)
+    for Pmax in (7, 600, 1, 2000, 2, 3, 3000, 8, 9, 128, 129, 257, 1001, 2999, 600, 7):
         for prob in (P21, P22, P32):
             for s in (-40, -9, -2, -1, 0, 1, 2, 3, 5, 6, 7, 8, 40):
                 assert theta_infinity(prob, s, Pmax) == _reference_theta(prob, s, Pmax)
@@ -145,12 +146,34 @@ def test_band_grid_sums_equal_the_whole_grid_expression():
 
 def test_band_slabs_match_any_chunk_size(monkeypatch):
     # _LEAF = 1 and 7 stop the walk at numpy's 128-value leaves, which start
-    # mid-row and cross row edges; 10^9 sums the whole grid as one node
+    # mid-row and cross row edges; 10^9 sums the whole grid as one node.  The
+    # two Pmax alternate, so every call meets the other shape's workspace
     for chunk in (1, 7, 10**9):
         monkeypatch.setattr(theory, "_LEAF", chunk)
         for prob in (P21, P22):
             for s in (-3, 0, 2, 6):
-                assert theta_infinity(prob, s, 300) == _reference_theta(prob, s, 300)
+                for Pmax in (300, 129):
+                    assert theta_infinity(prob, s, Pmax) == _reference_theta(prob, s, Pmax)
+
+
+def test_a_call_that_raised_leaves_no_cells_for_the_next(monkeypatch):
+    # the first node's sum raises after its band cells are written into the
+    # workspace; the next calls of the same shape must not add them in (a
+    # call at another lag writes a narrower band, so it would not overwrite them)
+    want = [_reference_theta(P22, s, 300) for s in (2, 0)]
+    np_sum = np.sum
+    calls = []
+
+    def sum_raising_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise FloatingPointError("injected")
+        return np_sum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sum", sum_raising_once)
+    with pytest.raises(FloatingPointError):
+        theta_infinity(P22, 0, 300)
+    assert [theta_infinity(P22, s, 300) for s in (2, 0)] == want
 
 
 def test_grid_sums_respect_the_enumeration_cap(monkeypatch):
@@ -179,6 +202,27 @@ def test_theta_peak_memory_is_one_subtree_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_theta_lags_share_one_workspace():
+    # the lags 0-6 of a covariance run: one workspace of (rows, Pmax) cells
+    # and its two work arrays for all seven calls, plus O(Pmax) arrays per
+    # call; a call of a shape already met allocates no workspace at all
+    p22e = validate(ApproximationProblem(m=2, n=2, weights=(1, 1), thetas=(1.0, 1.0), norm=Norm.EUCLIDEAN))
+    Pmax = 2000
+    theory._workspace.cache_clear()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            for s in range(7):
+                theta_infinity(p22e, s, Pmax)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    workspace = sum(a.nbytes for a in theory._workspace(min(Pmax, theory._LEAF // Pmax + 2), Pmax))
+    assert peaks[0] <= workspace + 32 * 8 * Pmax
+    assert peaks[1] <= 32 * 8 * Pmax < workspace
 
 
 def test_max_pq_partial_sum_tail():
